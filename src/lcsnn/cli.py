@@ -87,7 +87,7 @@ def network_from_config(cfg: RunConfig) -> Network:
 
 
 def schedule_from_config(cfg: RunConfig) -> PhaseSchedule:
-    return PhaseSchedule(cfg.t_adapt, cfg.t_dec, cfg.t_learn)
+    return PhaseSchedule(cfg.t_adapt, cfg.t_dec, cfg.t_learn, cfg.dt)
 
 
 def reward_state_from_config(cfg: RunConfig) -> RewardState:
@@ -128,6 +128,26 @@ def append_summary(cfg: RunConfig, command: str, run_dir: Path, metric: str, val
         writer.writerow([command, run_dir.name, cfg.seed, metric, f"{value:.6f}"])
 
 
+def run_pipeline(cfg: RunConfig, train, test) -> tuple[Network, monitors.RunMetrics, float]:
+    """Layer-wise training then evaluation: feature layer, decoder, test accuracy.
+
+    Returns the network with both connections frozen.
+    """
+    net = network_from_config(cfg)
+    net.dec_conn.plastic = False
+    schedule = schedule_from_config(cfg)
+    train_lc(net, train, cfg.lc_samples, schedule, cfg.seed, window=cfg.metrics_window)
+    net.lc_conn.plastic = False
+    net.dec_conn.plastic = True
+    metrics = train_decoder(
+        net, train, cfg.decoder_samples, schedule, reward_state_from_config(cfg),
+        cfg.seed, window=cfg.metrics_window,
+    )
+    net.dec_conn.plastic = False
+    accuracy, _ = evaluate(net, test, schedule, cfg.seed, n_samples=cfg.eval_samples or None)
+    return net, metrics, accuracy
+
+
 def cmd_train_lc(cfg: RunConfig, args) -> int:
     run_dir = make_run_dir(cfg, "train-lc")
     ds = load_split(cfg, "train", args.data_dir)
@@ -138,7 +158,8 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     net.lc_conn.plastic = False
     net.dec_conn.plastic = True
     checkpoint_save(net, run_dir / "network.blcn")
-    monitors.write_convergence_csv(run_dir / "lc_convergence.csv", norms, cfg.metrics_window)
+    monitors.write_convergence_csv(run_dir / "lc_convergence.csv", norms, cfg.metrics_window,
+                                   cfg.lc_samples)
     monitors.write_pgm(
         run_dir / "lc_filters.pgm",
         monitors.filter_grid_image(net.lc_conn, cfg.w_min, cfg.w_max, separators=True),
@@ -244,21 +265,10 @@ def cmd_xor(cfg: RunConfig, args) -> int:
     train = datamod.build_xor_mnist(train_src, cfg.xor_train, sample_rng(cfg.seed, STAGE_XOR, 0))
     test = datamod.build_xor_mnist(test_src, cfg.xor_test, sample_rng(cfg.seed, STAGE_XOR, 1))
 
-    net = network_from_config(cfg)
-    net.dec_conn.plastic = False
-    schedule = schedule_from_config(cfg)
-    train_lc(net, train, cfg.lc_samples, schedule, cfg.seed, window=cfg.metrics_window)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
-    metrics = train_decoder(
-        net, train, cfg.decoder_samples, schedule, reward_state_from_config(cfg),
-        cfg.seed, window=cfg.metrics_window,
-    )
-    net.dec_conn.plastic = False
+    net, metrics, accuracy = run_pipeline(cfg, train, test)
     checkpoint_save(net, run_dir / "network.blcn")
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
-    accuracy, _ = evaluate(net, test, schedule, cfg.seed, n_samples=cfg.eval_samples or None)
     append_summary(cfg, "xor", run_dir, "test_accuracy", accuracy)
     print(f"xor: test accuracy {accuracy:.4f} -> {run_dir}")
     return EXIT_OK
@@ -292,19 +302,7 @@ def _sweep_run(payload) -> dict:
     if data_dir:
         overrides.append(f"data_dir={data_dir}")
     cfg = resolve_config(None, [*base_overrides, *overrides])
-    ds_train = load_split(cfg, "train")
-    ds_test = load_split(cfg, "test")
-    net = network_from_config(cfg)
-    net.dec_conn.plastic = False
-    schedule = schedule_from_config(cfg)
-    train_lc(net, ds_train, cfg.lc_samples, schedule, cfg.seed, window=cfg.metrics_window)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
-    train_decoder(net, ds_train, cfg.decoder_samples, schedule,
-                  reward_state_from_config(cfg), cfg.seed, window=cfg.metrics_window)
-    net.dec_conn.plastic = False
-    accuracy, _ = evaluate(net, ds_test, schedule, cfg.seed,
-                           n_samples=cfg.eval_samples or None)
+    _, _, accuracy = run_pipeline(cfg, load_split(cfg, "train"), load_split(cfg, "test"))
     return {**combo, "seed": seed, "accuracy": accuracy}
 
 

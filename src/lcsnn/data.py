@@ -53,10 +53,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def image_shape(self) -> tuple[int, int]:
-        return self.images.shape[1], self.images.shape[2]
-
 
 @dataclass
 class XorDataset(Dataset):

@@ -1,5 +1,5 @@
-"""Simulation engine: the three-phase per-sample loop, layer-wise training,
-group-vote decoding, and checkpointing.
+"""Simulation engine: one per-tick core behind every regime, layer-wise
+training, group-vote decoding, and checkpointing.
 
 Topology and timing
 -------------------
@@ -20,12 +20,14 @@ samples; the adaptive threshold offsets persist across samples during
 training (they are the slow homeostatic variable) and are left untouched
 by evaluation, which runs every sample from a private copy of the state.
 
-Feature-layer training (`stdp_lc` mode) simulates only the learning
-period: unmodulated trace updates every tick, followed by renormalizing
-each neuron's incoming weights.  Decoder training (`rstdp_decoder` mode)
-runs all three phases; the modulation scalar is computed once from the
+One loop, :func:`simulate`, serves every regime.  Feature-layer training
+(`stdp_lc` mode) runs the feature layer alone over the learning period:
+unmodulated trace updates every tick, followed by renormalizing each
+neuron's incoming weights.  Decoder training (`rstdp_decoder` mode) runs
+all three phases; the modulation scalar is computed once from the
 decision's validity right after the decision period and is applied to
-every learning-period tick.
+every learning-period tick.  Frozen inference runs both layers for the
+group vote, or the feature layer alone for the spike-count readout.
 
 Determinism
 -----------
@@ -39,7 +41,7 @@ owned by exactly one sequential run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +68,6 @@ from .topology import (
     LocalConnection,
     build_decoder_inhibition,
     build_lc_inhibition,
-    count_parameters,
     make_dense_connection,
     make_local_connection,
 )
@@ -102,15 +103,18 @@ def sample_rng(seed: int, stage: int, index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Phase durations in clock ticks."""
+    """Phase durations in clock ticks, and the tick length in milliseconds."""
 
     t_adapt: int = 256
     t_dec: int = 256
     t_learn: int = 256
+    dt: float = 1.0
 
     def __post_init__(self) -> None:
         if self.t_adapt < 0 or self.t_dec < 0 or self.t_learn < 0:
             raise ValueError("phase durations must be non-negative")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
     @property
     def total(self) -> int:
@@ -157,9 +161,6 @@ class Network:
     @property
     def group_size(self) -> int:
         return self.n_out // self.n_c
-
-    def parameter_counts(self) -> tuple[int, int]:
-        return count_parameters(self.lc_conn, self.dec_conn)
 
 
 def build_network(
@@ -226,7 +227,7 @@ class SampleResult:
     decision: int | None
     reward: float
     modulation: float
-    lc_activation: np.ndarray | None = None
+    lc_activation: np.ndarray  # feature spikes per neuron over the counting window
 
 
 def decide(group_counts: np.ndarray, rng: np.random.Generator) -> int:
@@ -242,34 +243,133 @@ def decide(group_counts: np.ndarray, rng: np.random.Generator) -> int:
     return int(tied[rng.integers(tied.size)])
 
 
+def simulate(
+    net: Network,
+    spikes_in: np.ndarray,
+    schedule: PhaseSchedule,
+    rng: np.random.Generator,
+    mode: str = MODE_NONE,
+    decoder: bool = True,
+    target: int | None = None,
+    reward_state: RewardState | None = None,
+    on_step=None,
+) -> SampleResult:
+    """The per-tick loop: run an encoded input train through the network.
+
+    ``spikes_in`` holds one input row per tick of ``schedule``.  The feature
+    layer runs every tick, the decoder only when ``decoder`` is set.
+    Feature spikes and decoder group votes are counted over the window
+    ``[t_adapt, t_adapt + t_dec)``, and the vote is decided at the window's
+    last tick.  ``mode`` names the plastic connection: its traces run from
+    the first tick and its weights change from the window's end on (the
+    learning period).  A learning run keeps the adapted threshold offsets
+    in the network; a ``"none"`` run mutates nothing.  Callers validate.
+    """
+    dt = schedule.dt
+    window_end = schedule.t_adapt + schedule.t_dec
+    lc_state = make_state(net.n_lc, net.lc_params)
+    lc_state.g[:] = net.lc_g
+    lc_prev = np.zeros(net.n_lc, dtype=bool)
+    lc_counts = np.zeros(net.n_lc, dtype=np.int64)
+    r_lc = net.lc_params.r_mem
+    group_counts = None
+    if decoder:
+        dec_state = make_state(net.n_out, net.dec_params)
+        dec_state.g[:] = net.dec_g
+        dec_prev = np.zeros(net.n_out, dtype=bool)
+        group_counts = np.zeros(net.n_c, dtype=np.int64)
+        r_dec = net.dec_params.r_mem
+    if mode == MODE_STDP_LC:
+        traces = make_traces(net.n_in, net.n_lc)
+        lc_rule = net.lc_plasticity
+    elif mode == MODE_RSTDP_DECODER:
+        traces = make_traces(net.n_lc, net.n_out)
+    decision: int | None = None
+    reward_value = 0.0
+    m = 0.0
+
+    for t, x in enumerate(spikes_in):
+        lc_drive = net.lc_conn.forward(x) + net.lc_inhib.drive(lc_prev)
+        if r_lc != 1.0:
+            lc_drive *= r_lc
+        lc_spikes = step(lc_state, net.lc_params, lc_drive, dt)
+
+        if decoder:
+            dec_drive = net.dec_conn.forward(lc_spikes) + net.dec_inhib.drive(dec_prev)
+            if r_dec != 1.0:
+                dec_drive *= r_dec
+            dec_spikes = step(dec_state, net.dec_params, dec_drive, dt)
+            dec_prev = dec_spikes
+
+        if schedule.t_adapt <= t < window_end:
+            lc_counts += lc_spikes
+            if decoder:
+                group_counts += dec_spikes.reshape(net.n_c, net.group_size).sum(axis=1)
+                if t == window_end - 1:
+                    decision = decide(group_counts, rng)
+                    if mode == MODE_RSTDP_DECODER:
+                        r = compute_reward(decision, target)
+                        reward_value = float(r)
+                        m = modulate(reward_state, r)
+
+        if mode == MODE_STDP_LC:
+            update_traces(traces, x, lc_spikes, lc_rule, dt)
+            if t >= window_end:
+                xi = lc_eligibility(net.lc_conn, traces, x, lc_spikes)
+                net.lc_conn.weights = apply_stdp(net.lc_conn.weights, xi, lc_rule)
+                if lc_rule.c_norm is not None:
+                    normalize_incoming(net.lc_conn, lc_rule.c_norm, lc_rule.w_max)
+        elif mode == MODE_RSTDP_DECODER:
+            update_traces(traces, lc_spikes, dec_spikes, net.dec_plasticity, dt)
+            if t >= window_end:
+                xi = eligibility(traces, lc_spikes, dec_spikes)
+                net.dec_conn.weights = apply_rstdp(net.dec_conn.weights, xi, m, net.dec_plasticity)
+
+        lc_prev = lc_spikes
+        if on_step is not None:
+            on_step(t, net)
+
+    if mode != MODE_NONE:
+        # adaptation is part of training; evaluation leaves it untouched
+        net.lc_g = lc_state.g
+        if decoder:
+            net.dec_g = dec_state.g
+    return SampleResult(
+        group_counts=group_counts,
+        decision=decision,
+        reward=reward_value,
+        modulation=m,
+        lc_activation=lc_counts,
+    )
+
+
 def run_sample(
     net: Network,
     image: np.ndarray,
     schedule: PhaseSchedule,
     rng: np.random.Generator,
     mode: str = MODE_NONE,
-    dt: float = 1.0,
     target: int | None = None,
     reward_state: RewardState | None = None,
-    collect_lc_activation: bool = False,
     on_step=None,
 ) -> SampleResult:
     """Present one image for a full phase schedule and return the outcome.
 
     ``mode`` selects which connection may learn: ``"none"`` leaves all
     weights bit-identical (pure evaluation), ``"stdp_lc"`` trains the
-    feature filters unsupervised over just the learning period, and
-    ``"rstdp_decoder"`` runs all three phases and updates the decoder with
-    the reward-modulated rule (requires ``target`` and ``reward_state``).
-    ``on_step(t, net)`` is called after every tick, for monitoring.
+    feature filters unsupervised over just the learning period, with the
+    decoder left out of the loop, and ``"rstdp_decoder"`` runs all three
+    phases and updates the decoder with the reward-modulated rule (requires
+    ``target`` and ``reward_state``).  ``on_step(t, net)`` is called after
+    every tick, for monitoring.
     """
     if mode == MODE_STDP_LC:
         if not net.lc_conn.plastic:
             raise EngineError("stdp_lc mode requires a plastic feature connection")
         if net.dec_conn.plastic:
             raise EngineError("stdp_lc mode requires a frozen decoder (layer-wise training)")
-        return _run_lc_sample(net, image, schedule, rng, dt, on_step)
-    if mode == MODE_RSTDP_DECODER:
+        schedule = replace(schedule, t_adapt=0, t_dec=0)
+    elif mode == MODE_RSTDP_DECODER:
         if not net.dec_conn.plastic:
             raise EngineError("rstdp_decoder mode requires a plastic decoder connection")
         if net.lc_conn.plastic:
@@ -281,109 +381,9 @@ def run_sample(
     elif mode != MODE_NONE:
         raise EngineError(f"unknown plasticity mode {mode!r}")
 
-    learning = mode == MODE_RSTDP_DECODER
-    spikes_in = encode(image, schedule.total, dt, rng, net.encoder)
-
-    lc_state = make_state(net.n_lc, net.lc_params)
-    lc_state.g[:] = net.lc_g
-    dec_state = make_state(net.n_out, net.dec_params)
-    dec_state.g[:] = net.dec_g
-    traces = make_traces(net.n_lc, net.n_out) if learning else None
-
-    lc_prev = np.zeros(net.n_lc, dtype=bool)
-    dec_prev = np.zeros(net.n_out, dtype=bool)
-    group_counts = np.zeros(net.n_c, dtype=np.int64)
-    lc_counts = np.zeros(net.n_lc, dtype=np.int64) if collect_lc_activation else None
-
-    r_lc = net.lc_params.r_mem
-    r_dec = net.dec_params.r_mem
-    decision: int | None = None
-    reward_value = 0.0
-    m = 0.0
-    dec_window_end = schedule.t_adapt + schedule.t_dec
-
-    for t in range(schedule.total):
-        x = spikes_in[t]
-        lc_drive = net.lc_conn.forward(x) + net.lc_inhib.drive(lc_prev)
-        if r_lc != 1.0:
-            lc_drive *= r_lc
-        lc_spikes = step(lc_state, net.lc_params, lc_drive, dt)
-
-        dec_drive = net.dec_conn.forward(lc_spikes) + net.dec_inhib.drive(dec_prev)
-        if r_dec != 1.0:
-            dec_drive *= r_dec
-        dec_spikes = step(dec_state, net.dec_params, dec_drive, dt)
-
-        if schedule.t_adapt <= t < dec_window_end:
-            group_counts += dec_spikes.reshape(net.n_c, net.group_size).sum(axis=1)
-            if lc_counts is not None:
-                lc_counts += lc_spikes
-            if t == dec_window_end - 1:
-                decision = decide(group_counts, rng)
-                if learning:
-                    r = compute_reward(decision, target)
-                    reward_value = float(r)
-                    m = modulate(reward_state, r)
-
-        if learning:
-            update_traces(traces, lc_spikes, dec_spikes, net.dec_plasticity, dt)
-            if t >= dec_window_end:
-                xi = eligibility(traces, lc_spikes, dec_spikes)
-                net.dec_conn.weights = apply_rstdp(net.dec_conn.weights, xi, m, net.dec_plasticity)
-
-        lc_prev = lc_spikes
-        dec_prev = dec_spikes
-        if on_step is not None:
-            on_step(t, net)
-
-    if learning:
-        # adaptation is part of training; evaluation leaves it untouched
-        net.lc_g = lc_state.g
-        net.dec_g = dec_state.g
-    return SampleResult(
-        group_counts=group_counts,
-        decision=decision,
-        reward=reward_value,
-        modulation=m,
-        lc_activation=lc_counts,
-    )
-
-
-def _run_lc_sample(
-    net: Network,
-    image: np.ndarray,
-    schedule: PhaseSchedule,
-    rng: np.random.Generator,
-    dt: float,
-    on_step=None,
-) -> SampleResult:
-    """Unsupervised feature training: the learning period only, with the
-    decoder left out of the loop entirely."""
-    spikes_in = encode(image, schedule.t_learn, dt, rng, net.encoder)
-    lc_state = make_state(net.n_lc, net.lc_params)
-    lc_state.g[:] = net.lc_g
-    traces = make_traces(net.n_in, net.n_lc)
-    lc_prev = np.zeros(net.n_lc, dtype=bool)
-    r_lc = net.lc_params.r_mem
-    params = net.lc_plasticity
-
-    for t in range(schedule.t_learn):
-        x = spikes_in[t]
-        lc_drive = net.lc_conn.forward(x) + net.lc_inhib.drive(lc_prev)
-        if r_lc != 1.0:
-            lc_drive *= r_lc
-        lc_spikes = step(lc_state, net.lc_params, lc_drive, dt)
-        update_traces(traces, x, lc_spikes, params, dt)
-        xi = lc_eligibility(net.lc_conn, traces, x, lc_spikes)
-        net.lc_conn.weights = apply_stdp(net.lc_conn.weights, xi, params)
-        if params.c_norm is not None:
-            normalize_incoming(net.lc_conn, params.c_norm, params.w_max)
-        lc_prev = lc_spikes
-        if on_step is not None:
-            on_step(t, net)
-
-    net.lc_g = lc_state.g
-    return SampleResult(group_counts=None, decision=None, reward=0.0, modulation=0.0)
+    spikes_in = encode(image, schedule.total, schedule.dt, rng, net.encoder)
+    return simulate(net, spikes_in, schedule, rng, mode, decoder=mode != MODE_STDP_LC,
+                    target=target, reward_state=reward_state, on_step=on_step)
 
 
 def train_lc(
@@ -397,7 +397,7 @@ def train_lc(
     """Unsupervised pass over ``n_samples`` images (labels are never read).
 
     Returns the weight-change norm of each ``window``-sample block, a
-    cheap convergence monitor.
+    cheap convergence monitor; the last block may be shorter.
     """
     if not net.lc_conn.plastic or net.dec_conn.plastic:
         raise EngineError("train_lc expects a plastic feature layer and a frozen decoder")
@@ -406,7 +406,7 @@ def train_lc(
     for i in range(n_samples):
         image = dataset.images[i % len(dataset)]
         run_sample(net, image, schedule, sample_rng(seed, STAGE_LC, i), mode=MODE_STDP_LC)
-        if (i + 1) % window == 0:
+        if (i + 1) % window == 0 or i + 1 == n_samples:
             norms.append(float(np.linalg.norm(net.lc_conn.weights - w_ref)))
             w_ref = net.lc_conn.weights.copy()
     return norms
@@ -465,7 +465,7 @@ def evaluate(
         raise EngineError("evaluate expects all connections frozen")
     if schedule.t_dec < 1:
         raise EngineError("evaluation needs a decision period")
-    eval_schedule = PhaseSchedule(schedule.t_adapt, schedule.t_dec, 0)
+    eval_schedule = replace(schedule, t_learn=0)
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
     decisions = np.empty(n, dtype=np.int64)
     correct = 0

@@ -81,12 +81,14 @@ class RunMetrics:
                 f.write(f"{i},{rr[i]:.6f},{pr[i]:.6f}\n")
 
 
-def write_convergence_csv(path: str | Path, norms: list[float], window: int) -> None:
-    """Weight-change norm per training window of the feature layer."""
+def write_convergence_csv(
+    path: str | Path, norms: list[float], window: int, n_samples: int
+) -> None:
+    """Weight-change norm per feature-layer training window; the last may be shorter."""
     with open(path, "w", newline="") as f:
         f.write("window_end_sample,weight_change_norm\n")
         for i, v in enumerate(norms):
-            f.write(f"{(i + 1) * window},{v:.6f}\n")
+            f.write(f"{min((i + 1) * window, n_samples)},{v:.6f}\n")
 
 
 def weights_to_gray(w: np.ndarray, w_min: float = 0.0, w_max: float = 1.0) -> np.ndarray:

@@ -72,13 +72,6 @@ class NeuronState:
     g: np.ndarray
     refrac_remaining: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    def copy(self) -> "NeuronState":
-        return NeuronState(self.u.copy(), self.g.copy(), self.refrac_remaining.copy())
-
 
 def make_state(n: int, params: NeuronParams) -> NeuronState:
     """Fresh state at rest with no adaptation and no refractory carry-over."""
@@ -124,16 +117,3 @@ def step(
         g[spikes] += params.g0
     return spikes
 
-
-def reset(state: NeuronState, params: NeuronParams, zero_adaptation: bool = False) -> NeuronState:
-    """Return the group to rest between stimuli, in place.
-
-    The threshold offset ``g`` is preserved by default: with the slow
-    ``tau_g`` it is a homeostatic variable that accumulates across many
-    stimuli.  Pass ``zero_adaptation=True`` to clear it as well.
-    """
-    state.u[:] = params.u_rest
-    state.refrac_remaining[:] = 0
-    if zero_adaptation:
-        state.g[:] = 0.0
-    return state

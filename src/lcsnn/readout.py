@@ -10,15 +10,23 @@ baseline itself is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .encoding import encode
-from .engine import STAGE_FEATURES, STAGE_MODEL, EngineError, Network, PhaseSchedule, sample_rng
-from .neurons import make_state, step
+from .engine import (
+    STAGE_FEATURES,
+    STAGE_MODEL,
+    EngineError,
+    Network,
+    PhaseSchedule,
+    sample_rng,
+    simulate,
+)
+from .neurons import step  # noqa: F401  wrapped by perfbench/tracer.py
 
 
 def extract_features(
@@ -26,7 +34,6 @@ def extract_features(
     image: np.ndarray,
     schedule: PhaseSchedule,
     rng: np.random.Generator,
-    dt: float = 1.0,
 ) -> np.ndarray:
     """Per-neuron feature-layer spike counts for one image.
 
@@ -36,22 +43,9 @@ def extract_features(
     """
     if net.lc_conn.plastic:
         raise EngineError("feature extraction expects frozen feature filters")
-    total = schedule.t_adapt + schedule.t_learn
-    spikes_in = encode(image, total, dt, rng, net.encoder)
-    state = make_state(net.n_lc, net.lc_params)
-    state.g[:] = net.lc_g
-    prev = np.zeros(net.n_lc, dtype=bool)
-    counts = np.zeros(net.n_lc, dtype=np.int64)
-    r_lc = net.lc_params.r_mem
-    for t in range(total):
-        drive = net.lc_conn.forward(spikes_in[t]) + net.lc_inhib.drive(prev)
-        if r_lc != 1.0:
-            drive *= r_lc
-        spikes = step(state, net.lc_params, drive, dt)
-        if t >= schedule.t_adapt:
-            counts += spikes
-        prev = spikes
-    return counts
+    window = replace(schedule, t_dec=schedule.t_learn, t_learn=0)
+    spikes_in = encode(image, window.total, window.dt, rng, net.encoder)
+    return simulate(net, spikes_in, window, rng, decoder=False).lc_activation
 
 
 def extract_feature_matrix(
@@ -60,14 +54,13 @@ def extract_feature_matrix(
     n_samples: int,
     schedule: PhaseSchedule,
     seed: int,
-    dt: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (n, n_lc) and label vector for the first n samples."""
     n = min(n_samples, len(dataset))
     x = np.empty((n, net.n_lc), dtype=np.float64)
     for i in range(n):
         x[i] = extract_features(
-            net, dataset.images[i], schedule, sample_rng(seed, STAGE_FEATURES, i), dt
+            net, dataset.images[i], schedule, sample_rng(seed, STAGE_FEATURES, i)
         )
     return x, dataset.labels[:n].copy()
 

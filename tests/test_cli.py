@@ -188,3 +188,27 @@ def test_untrained_lc_checkpoint_rejected(fake_mnist_dir, tmp_path):
         "--lc-checkpoint", path, *TINY,
     ])
     assert code == 1
+
+
+def test_dt_reaches_the_simulator(fake_mnist_dir, tmp_path):
+    blobs = []
+    for dt in ("1", "0.5"):
+        out = tmp_path / f"dt{dt}"
+        assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                     *TINY, "--set", f"dt={dt}"]) == 0
+        blobs.append((_only_run_dir(out, "train-lc") / "network.blcn").read_bytes())
+    assert blobs[0] != blobs[1]
+
+
+def test_convergence_log_closes_a_partial_window(fake_mnist_dir, tmp_path):
+    out = tmp_path / "runs"  # 4 samples in the default 100-sample window
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                 *TINY]) == 0
+    rows = (_only_run_dir(out, "train-lc") / "lc_convergence.csv").read_text().splitlines()
+    assert rows[0] == "window_end_sample,weight_change_norm"
+    assert len(rows) == 2
+    end, norm = rows[1].split(",")
+    assert end == "4"
+    assert float(norm) > 0.0
+    summary = (out / "summary.csv").read_text().splitlines()[1]
+    assert summary.endswith(f",final_window_weight_change,{norm}")

@@ -121,6 +121,14 @@ def test_forced_routing_decides_deterministically():
     assert res.decision == 1
 
 
+def test_schedule_rejects_negative_durations_and_ticks():
+    with pytest.raises(ValueError):
+        PhaseSchedule(-1, 16, 16)
+    for dt in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            PhaseSchedule(dt=dt)
+
+
 def test_mode_flag_consistency_errors():
     net = tiny_network()
     with pytest.raises(EngineError):
@@ -177,6 +185,16 @@ def test_train_lc_zero_samples_is_identity():
     norms = train_lc(net, make_blob_dataset(4, 8, 2, seed=1), 0, PhaseSchedule(), seed=0)
     assert norms == []
     assert _hash(net.lc_conn.weights) == before
+
+
+def test_train_lc_closes_the_partial_last_window():
+    ds = make_blob_dataset(4, 8, 2, seed=2)
+    net = tiny_network(seed=3)
+    net.dec_conn.plastic = False
+    w0 = net.lc_conn.weights.copy()
+    norms = train_lc(net, ds, 3, PhaseSchedule(t_learn=32), seed=3, window=4)
+    assert norms == [float(np.linalg.norm(net.lc_conn.weights - w0))]
+    assert norms[0] > 0.0
 
 
 def test_train_lc_keeps_normalized_bounded_weights():
@@ -282,8 +300,7 @@ def test_wta_sustains_single_winner_per_field():
     net.lc_conn.weights[0] = 0.9
     net.lc_conn.weights[1] = 0.85
     net.lc_conn.weights[2] = 0.85
-    res = run_sample(net, bright_image(6), PhaseSchedule(100, 300, 0),
-                     sample_rng(0, 3, 2), collect_lc_activation=True)
+    res = run_sample(net, bright_image(6), PhaseSchedule(100, 300, 0), sample_rng(0, 3, 2))
     counts = res.lc_activation
     assert counts[0] > 0
     assert counts[1] == 0 and counts[2] == 0

@@ -92,12 +92,12 @@ def test_golden_extract_feature_matrix():
 
 def test_golden_run_sample_lc_activation():
     res = run_sample(_frozen(7), _dataset().images[0], PhaseSchedule(16, 32, 16),
-                     sample_rng(9, 3, 0), mode=MODE_NONE, collect_lc_activation=True)
+                     sample_rng(9, 3, 0), mode=MODE_NONE)
     assert res.lc_activation.sum() > 0
     assert _digest(res.lc_activation) == GOLDEN["run_sample_lc_activation"]
 
 
 def test_golden_run_sample_half_tick():
-    res = run_sample(_frozen(7), _dataset().images[0], PhaseSchedule(16, 32, 16),
-                     sample_rng(9, 3, 0), mode=MODE_NONE, dt=0.5, collect_lc_activation=True)
+    res = run_sample(_frozen(7), _dataset().images[0], PhaseSchedule(16, 32, 16, dt=0.5),
+                     sample_rng(9, 3, 0), mode=MODE_NONE)
     assert _digest(res.lc_activation, res.group_counts) == GOLDEN["run_sample_half_tick"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lcsnn.neurons import NeuronParams, make_state, reset, step
+from lcsnn.neurons import NeuronParams, make_state, step
 
 
 def params(**kw):
@@ -110,20 +110,6 @@ def test_threshold_decay_matches_exponential():
     for k in range(1, 30):
         step(st, p, np.zeros(1), dt=1.0)
         assert st.g[0] == pytest.approx(0.7 * math.exp(-k / 1000.0), abs=1e-12)
-
-
-def test_reset_returns_to_rest_and_preserves_g():
-    p = params()
-    st = make_state(4, p)
-    st.u[:] = -20.0
-    st.g[:] = 0.3
-    st.refrac_remaining[:] = 2
-    reset(st, p)
-    assert (st.u == p.u_rest).all()
-    assert (st.refrac_remaining == 0).all()
-    assert (st.g == 0.3).all()
-    reset(st, p, zero_adaptation=True)
-    assert (st.g == 0.0).all()
 
 
 def test_dimension_mismatch_raises():
