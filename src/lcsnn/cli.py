@@ -36,6 +36,7 @@ from .engine import (
     checkpoint_load,
     checkpoint_save,
     evaluate,
+    network_to_arrays,
     train_decoder,
     train_lc,
 )
@@ -129,21 +130,14 @@ def append_summary(cfg: RunConfig, command: str, run_dir: Path, metric: str, val
 
 
 def run_pipeline(cfg: RunConfig, train, test) -> tuple[Network, monitors.RunMetrics, float]:
-    """Layer-wise training then evaluation: feature layer, decoder, test accuracy.
-
-    Returns the network with both connections frozen.
-    """
+    """Layer-wise training then evaluation: feature layer, decoder, test accuracy."""
     net = network_from_config(cfg)
-    net.dec_conn.plastic = False
     schedule = schedule_from_config(cfg)
     train_lc(net, train, cfg.lc_samples, schedule, cfg.seed, window=cfg.metrics_window)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
     metrics = train_decoder(
         net, train, cfg.decoder_samples, schedule, reward_state_from_config(cfg),
         cfg.seed, window=cfg.metrics_window,
     )
-    net.dec_conn.plastic = False
     accuracy, _ = evaluate(net, test, schedule, cfg.seed, n_samples=cfg.eval_samples or None)
     return net, metrics, accuracy
 
@@ -152,11 +146,8 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     run_dir = make_run_dir(cfg, "train-lc")
     ds = load_split(cfg, "train", args.data_dir)
     net = network_from_config(cfg)
-    net.dec_conn.plastic = False
     norms = train_lc(net, ds, cfg.lc_samples, schedule_from_config(cfg), cfg.seed,
                      window=cfg.metrics_window)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
     checkpoint_save(net, run_dir / "network.blcn")
     monitors.write_convergence_csv(run_dir / "lc_convergence.csv", norms, cfg.metrics_window,
                                    cfg.lc_samples)
@@ -170,23 +161,35 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _check_matches_config(net: Network, cfg: RunConfig) -> None:
+    """Reject a loaded network whose non-weight arrays differ from the config's."""
+    ref = network_from_config(cfg)
+    ref.lc_trained = net.lc_trained  # training state, not configuration
+    got = network_to_arrays(net)
+    for name, want in network_to_arrays(ref).items():
+        if name.endswith(("_weights", "_g")):
+            continue  # learned state, not configuration
+        if not np.array_equal(got[name], want, equal_nan=True):
+            raise ConfigError(name, f"checkpoint holds {got[name].tolist()} but the "
+                                    f"configuration gives {want.tolist()}")
+
+
 def _load_lc_checkpoint(path: str) -> Network:
     net = checkpoint_load(path)
-    if net.lc_conn.plastic:
+    if not net.lc_trained:
         raise EngineError(f"{path} holds an untrained feature layer; run train-lc first")
     return net
 
 
 def cmd_train_decoder(cfg: RunConfig, args) -> int:
-    run_dir = make_run_dir(cfg, "train-decoder")
     net = _load_lc_checkpoint(args.lc_checkpoint)
-    net.dec_conn.plastic = True
+    _check_matches_config(net, cfg)
+    run_dir = make_run_dir(cfg, "train-decoder")
     ds = load_split(cfg, "train", args.data_dir)
     metrics = train_decoder(
         net, ds, cfg.decoder_samples, schedule_from_config(cfg),
         reward_state_from_config(cfg), cfg.seed, window=cfg.metrics_window,
     )
-    net.dec_conn.plastic = False
     checkpoint_save(net, run_dir / "network.blcn")
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
@@ -204,10 +207,9 @@ def cmd_train_decoder(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    run_dir = make_run_dir(cfg, "eval")
     net = checkpoint_load(args.checkpoint)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = False
+    _check_matches_config(net, cfg)
+    run_dir = make_run_dir(cfg, "eval")
     ds = load_split(cfg, "test", args.data_dir)
     n = cfg.eval_samples or None
     accuracy, decisions = evaluate(net, ds, schedule_from_config(cfg), cfg.seed, n_samples=n)
@@ -223,9 +225,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_conditioning(cfg: RunConfig, args) -> int:
     if cfg.n_c != 2:
         raise ConfigError("n_c", "the conditioning protocol uses two response groups")
-    run_dir = make_run_dir(cfg, "conditioning")
     net = _load_lc_checkpoint(args.lc_checkpoint)
-    net.dec_conn.plastic = True
+    _check_matches_config(net, cfg)
+    run_dir = make_run_dir(cfg, "conditioning")
     ds = load_split(cfg, "train", args.data_dir)
     stimuli = datamod.filter_classes(ds, [cfg.stimulus_class])
     monitors.write_pgm(
@@ -275,8 +277,9 @@ def cmd_xor(cfg: RunConfig, args) -> int:
 
 
 def cmd_svm(cfg: RunConfig, args) -> int:
-    run_dir = make_run_dir(cfg, "svm")
     net = _load_lc_checkpoint(args.lc_checkpoint)
+    _check_matches_config(net, cfg)
+    run_dir = make_run_dir(cfg, "svm")
     train = load_split(cfg, "train", args.data_dir)
     test = load_split(cfg, "test", args.data_dir)
     schedule = schedule_from_config(cfg)

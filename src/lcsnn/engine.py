@@ -14,28 +14,31 @@ Each sample is presented as one continuous Poisson stream split into
 three phases: an adaptation period that lets the winner-take-all
 competition settle, a decision period whose decoder spike counts elect
 the predicted class by group vote, and a learning period during which the
-plastic connection is updated.  Weights never change outside the learning
-period.  Membrane potentials and refractory counters are reset between
-samples; the adaptive threshold offsets persist across samples during
-training (they are the slow homeostatic variable) and are left untouched
-by evaluation, which runs every sample from a private copy of the state.
+connection being trained is updated.  Weights never change outside the
+learning period.  Membrane potentials and refractory counters are reset
+between samples; the adaptive threshold offsets persist across samples
+during training (they are the slow homeostatic variable) and are left
+untouched by evaluation, which runs every sample from a private copy of
+the state.
 
-One loop, :func:`simulate`, serves every regime.  Feature-layer training
-(`stdp_lc` mode) runs the feature layer alone over the learning period:
-unmodulated trace updates every tick, followed by renormalizing each
-neuron's incoming weights.  Decoder training (`rstdp_decoder` mode) runs
-all three phases; the modulation scalar is computed once from the
+One loop, :func:`simulate`, serves every regime, and the regime alone
+decides which connection learns: the other one is never written, so
+layer-wise training needs no step that freezes a layer.  Feature-layer
+training (`stdp_lc` mode) runs the feature layer alone over the learning
+period: unmodulated trace updates every tick, followed by renormalizing
+each neuron's incoming weights.  Decoder training (`rstdp_decoder` mode)
+runs all three phases; the modulation scalar is computed once from the
 decision's validity right after the decision period and is applied to
-every learning-period tick.  Frozen inference runs both layers for the
-group vote, or the feature layer alone for the spike-count readout.
+every learning-period tick.  Inference (`none` mode) runs both layers for
+the group vote, or the feature layer alone for the spike-count readout.
 
 Determinism
 -----------
 Every stochastic choice flows from one run seed through
 :func:`sample_rng`, which derives an independent, index-addressable
 stream per (stage, sample).  Given (seed, configuration, dataset), every
-spike, decision, and weight is reproducible bit for bit.  A frozen
-network may be shared across evaluation workers; a training network is
+spike, decision, and weight is reproducible bit for bit.  A network that
+is only evaluated may be shared across workers; a training network is
 owned by exactly one sequential run.
 """
 
@@ -137,6 +140,7 @@ class Network:
     dec_plasticity: PlasticityParams
     lc_g: np.ndarray
     dec_g: np.ndarray
+    lc_trained: bool = False  # set by train_lc; the CLI rejects untrained filters
 
     def __post_init__(self) -> None:
         if self.n_c < 1 or self.dec_conn.n_post % self.n_c != 0:
@@ -181,7 +185,7 @@ def build_network(
     w_inh: float = -100.0,
     dec_within_group: bool = False,
 ) -> Network:
-    """Assemble a network with uniformly random plastic weights.
+    """Assemble a network with uniformly random weights.
 
     The feature layer is adaptive, the decoder is plain LIF unless
     overridden via ``dec_params``.  Weight initialization draws the local
@@ -260,7 +264,7 @@ def simulate(
     layer runs every tick, the decoder only when ``decoder`` is set.
     Feature spikes and decoder group votes are counted over the window
     ``[t_adapt, t_adapt + t_dec)``, and the vote is decided at the window's
-    last tick.  ``mode`` names the plastic connection: its traces run from
+    last tick.  ``mode`` names the connection that learns: its traces run from
     the first tick and its weights change from the window's end on (the
     learning period).  A learning run keeps the adapted threshold offsets
     in the network; a ``"none"`` run mutates nothing.  Callers validate.
@@ -364,16 +368,8 @@ def run_sample(
     every tick, for monitoring.
     """
     if mode == MODE_STDP_LC:
-        if not net.lc_conn.plastic:
-            raise EngineError("stdp_lc mode requires a plastic feature connection")
-        if net.dec_conn.plastic:
-            raise EngineError("stdp_lc mode requires a frozen decoder (layer-wise training)")
         schedule = replace(schedule, t_adapt=0, t_dec=0)
     elif mode == MODE_RSTDP_DECODER:
-        if not net.dec_conn.plastic:
-            raise EngineError("rstdp_decoder mode requires a plastic decoder connection")
-        if net.lc_conn.plastic:
-            raise EngineError("rstdp_decoder mode requires frozen feature filters")
         if target is None or reward_state is None:
             raise EngineError("rstdp_decoder mode needs a target label and a reward state")
         if schedule.t_dec < 1:
@@ -397,10 +393,9 @@ def train_lc(
     """Unsupervised pass over ``n_samples`` images (labels are never read).
 
     Returns the weight-change norm of each ``window``-sample block, a
-    cheap convergence monitor; the last block may be shorter.
+    cheap convergence monitor; the last block may be shorter.  Marks the
+    filters as trained, even for ``n_samples=0``.
     """
-    if not net.lc_conn.plastic or net.dec_conn.plastic:
-        raise EngineError("train_lc expects a plastic feature layer and a frozen decoder")
     norms: list[float] = []
     w_ref = net.lc_conn.weights.copy()
     for i in range(n_samples):
@@ -409,6 +404,7 @@ def train_lc(
         if (i + 1) % window == 0 or i + 1 == n_samples:
             norms.append(float(np.linalg.norm(net.lc_conn.weights - w_ref)))
             w_ref = net.lc_conn.weights.copy()
+    net.lc_trained = True
     return norms
 
 
@@ -429,8 +425,6 @@ def train_decoder(
     of the input).  Only the decision's validity ever feeds back into the
     network.
     """
-    if not net.dec_conn.plastic or net.lc_conn.plastic:
-        raise EngineError("train_decoder expects a frozen feature layer and a plastic decoder")
     metrics = RunMetrics(window=window)
     for i in range(n_samples):
         idx = i % len(dataset)
@@ -457,12 +451,10 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Fraction of samples whose group vote matches the label.
 
-    All connections must be frozen.  The learning period is skipped (it
-    cannot influence the decision), and nothing in the network is
-    mutated, so repeated evaluation from the same seed is bit-identical.
+    The learning period is skipped (it cannot influence the decision),
+    and nothing in the network is mutated, so repeated evaluation from the
+    same seed is bit-identical.
     """
-    if net.lc_conn.plastic or net.dec_conn.plastic:
-        raise EngineError("evaluate expects all connections frozen")
     if schedule.t_dec < 1:
         raise EngineError("evaluation needs a decision period")
     eval_schedule = replace(schedule, t_learn=0)
@@ -514,9 +506,9 @@ def network_to_arrays(net: Network) -> dict[str, np.ndarray]:
     sh = net.lc_conn.shape
     return {
         "lc_shape": np.array([sh.h_in, sh.w_in, sh.ch_out, sh.k, sh.s], dtype=np.float64),
+        # slot 3 is 1 while the filters are untrained
         "layout": np.array(
-            [net.n_out, net.n_c, float(net.dec_inhib.scope == "all"),
-             float(net.lc_conn.plastic), float(net.dec_conn.plastic)]
+            [net.n_out, net.n_c, float(net.dec_inhib.scope == "all"), float(not net.lc_trained)]
         ),
         "inhibition": np.array([net.lc_inhib.w_inh, net.dec_inhib.w_inh]),
         "encoder": np.array([net.encoder.f_max, net.encoder.intensity_max]),
@@ -534,14 +526,11 @@ def network_to_arrays(net: Network) -> dict[str, np.ndarray]:
 def network_from_arrays(arrays: dict[str, np.ndarray]) -> Network:
     try:
         h_in, w_in, ch_out, k, s = (int(v) for v in arrays["lc_shape"])
-        n_out, n_c, within, lc_plastic, dec_plastic = arrays["layout"]
+        # earlier files carry a fifth slot (decoder untrained), now unused
+        n_out, n_c, within, lc_untrained = arrays["layout"][:4]
         shape = LcShape(h_in=h_in, w_in=w_in, ch_out=ch_out, k=k, s=s)
-        lc_conn = LocalConnection(
-            shape=shape, weights=arrays["lc_weights"].copy(), plastic=bool(lc_plastic)
-        )
-        dec_conn = DenseConnection(
-            weights=arrays["dec_weights"].copy(), plastic=bool(dec_plastic)
-        )
+        lc_conn = LocalConnection(shape=shape, weights=arrays["lc_weights"].copy())
+        dec_conn = DenseConnection(weights=arrays["dec_weights"].copy())
         w_inh_lc, w_inh_dec = arrays["inhibition"]
         enc = arrays["encoder"]
         return Network(
@@ -559,6 +548,7 @@ def network_from_arrays(arrays: dict[str, np.ndarray]) -> Network:
             dec_plasticity=_plasticity_from_vec(arrays["dec_plasticity"]),
             lc_g=arrays["lc_g"].copy(),
             dec_g=arrays["dec_g"].copy(),
+            lc_trained=not lc_untrained,
         )
     except KeyError as e:
         raise ckpt.CheckpointError(f"checkpoint is missing array {e.args[0]!r}") from e

@@ -1,4 +1,4 @@
-"""Spike-count features from the frozen feature layer, plus a linear
+"""Spike-count features from the trained feature layer, plus a linear
 max-margin classifier trained on them.
 
 The classifier is a one-vs-rest hinge-loss linear model fit by stochastic
@@ -20,7 +20,6 @@ from .encoding import encode
 from .engine import (
     STAGE_FEATURES,
     STAGE_MODEL,
-    EngineError,
     Network,
     PhaseSchedule,
     sample_rng,
@@ -41,8 +40,6 @@ def extract_features(
     warm-up of ``t_adapt`` ticks, then counts spikes over ``t_learn``
     ticks.  The network is not mutated.
     """
-    if net.lc_conn.plastic:
-        raise EngineError("feature extraction expects frozen feature filters")
     window = replace(schedule, t_dec=schedule.t_learn, t_learn=0)
     spikes_in = encode(image, window.total, window.dt, rng, net.encoder)
     return simulate(net, spikes_in, window, rng, decoder=False).lc_activation

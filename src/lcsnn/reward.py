@@ -27,10 +27,6 @@ class RewardState:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
-    def reset(self) -> None:
-        """Neutral expectation at the start of a training run."""
-        self.ema_r = 0.0
-
 
 def compute_reward(predicted: int, target: int) -> int:
     """+1 iff the decision matches the target class, else -1."""

@@ -13,7 +13,6 @@ on that ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -79,11 +78,10 @@ def _pre_index(shape: LcShape) -> np.ndarray:
 
 @dataclass
 class LocalConnection:
-    """One plastic (or frozen) block of per-receptive-field filters."""
+    """One block of per-receptive-field filters."""
 
     shape: LcShape
     weights: np.ndarray  # (ch_out, h_out, w_out, k, k) float64
-    plastic: bool = True
     pre_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,9 +109,9 @@ class LocalConnection:
 
 
 def make_local_connection(shape: LcShape, rng: np.random.Generator) -> LocalConnection:
-    """Plastic local connection with weights initialized uniformly in [0, 1)."""
+    """Local connection with weights initialized uniformly in [0, 1)."""
     w = rng.random((shape.ch_out, shape.h_out, shape.w_out, shape.k, shape.k))
-    return LocalConnection(shape=shape, weights=w, plastic=True)
+    return LocalConnection(shape=shape, weights=w)
 
 
 @dataclass
@@ -121,7 +119,6 @@ class DenseConnection:
     """All-to-all weights (n_pre, n_post)."""
 
     weights: np.ndarray
-    plastic: bool = True
 
     @property
     def n_pre(self) -> int:
@@ -136,7 +133,7 @@ class DenseConnection:
 
 
 def make_dense_connection(n_pre: int, n_post: int, rng: np.random.Generator) -> DenseConnection:
-    return DenseConnection(weights=rng.random((n_pre, n_post)), plastic=True)
+    return DenseConnection(weights=rng.random((n_pre, n_post)))
 
 
 @dataclass
@@ -169,10 +166,6 @@ class InhibitionMask:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self._n_labels = int(self.labels.max()) + 1 if self.labels.size else 0
 
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
-
     def drive(self, spikes: np.ndarray) -> np.ndarray:
         """Inhibitory drive for one tick given the layer's previous spikes."""
         s = np.asarray(spikes, dtype=np.float64)
@@ -184,25 +177,6 @@ class InhibitionMask:
         else:
             peers = s.sum() - s
         return self.w_inh * peers
-
-    def pair_count(self) -> int:
-        sizes = np.bincount(self.labels, minlength=self._n_labels)
-        n = self.n
-        if self.scope == "within":
-            return int((sizes * (sizes - 1)).sum())
-        if self.scope == "across":
-            return int(n * n - (sizes * sizes).sum())
-        return n * (n - 1)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Enumerate ordered pairs; intended for tests and small masks."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                same = self.labels[i] == self.labels[j]
-                if (self.scope == "within" and same) or (self.scope == "across" and not same) or self.scope == "all":
-                    yield (i, j)
 
 
 def build_lc_inhibition(shape: LcShape, w_inh: float) -> InhibitionMask:

@@ -64,6 +64,15 @@ def desk_network(seed: int, n_out: int, n_c: int, ch_lc: int = 25, k: int = 13, 
     )
 
 
+def layerwise(net, train, test, lc_samples: int, decoder_samples: int, seed: int,
+              mode: str = "td") -> float:
+    """Train the filters, then the decoder on them; return the test accuracy."""
+    train_lc(net, train, lc_samples, SCHEDULE, seed=seed)
+    train_decoder(net, train, decoder_samples, SCHEDULE,
+                  RewardState(mode=mode, eta_rpe=0.125, alpha=0.9), seed=seed)
+    return evaluate(net, test, SCHEDULE, seed=seed)[0]
+
+
 @pytest.mark.acceptance
 def test_criterion_01_parameter_counts():
     rng = np.random.default_rng(0)
@@ -188,10 +197,7 @@ def test_criterion_07_classical_conditioning(mnist_dir):
     task1, task2 = [], []
     for seed in seeds:
         net = desk_network(seed, n_out=20, n_c=2)
-        net.dec_conn.plastic = False
         train_lc(net, stimuli, 300, SCHEDULE, seed=seed, window=300)
-        net.lc_conn.plastic = False
-        net.dec_conn.plastic = True
         state = RewardState(mode="td", eta_rpe=0.25, alpha=0.9)
         metrics = train_decoder(
             net, stimuli, 400, SCHEDULE, state, seed=seed,
@@ -218,18 +224,8 @@ def test_criterion_08_binary_classification_sanity(mnist_dir):
     chance = max(np.mean(test.labels == 0), np.mean(test.labels == 1))
     bound = float(chance + 2.326 * math.sqrt(chance * (1 - chance) / len(test)))
 
-    accs = []
-    for seed in range(3):
-        net = desk_network(seed, n_out=100, n_c=2)
-        net.dec_conn.plastic = False
-        train_lc(net, train, 600, SCHEDULE, seed=seed, window=300)
-        net.lc_conn.plastic = False
-        net.dec_conn.plastic = True
-        state = RewardState(mode="td", eta_rpe=0.125, alpha=0.9)
-        train_decoder(net, train, 1000, SCHEDULE, state, seed=seed)
-        net.dec_conn.plastic = False
-        acc, _ = evaluate(net, test, SCHEDULE, seed=seed)
-        accs.append(acc)
+    accs = [layerwise(desk_network(seed, n_out=100, n_c=2), train, test, 600, 1000, seed)
+            for seed in range(3)]
     mean = float(np.mean(accs))
     ok = all(a > bound for a in accs) and mean >= 0.80
     _report(8, "binary classification sanity", ok,
@@ -246,15 +242,7 @@ def test_criterion_09_full_mnist_reproduction(mnist_dir):
 
     def pipeline(seed: int, mode: str) -> float:
         net = desk_network(seed, n_out=1000, n_c=10, ch_lc=100, k=15, s=4)
-        net.dec_conn.plastic = False
-        train_lc(net, train, 2000, SCHEDULE, seed=seed, window=500)
-        net.lc_conn.plastic = False
-        net.dec_conn.plastic = True
-        state = RewardState(mode=mode, eta_rpe=0.125, alpha=0.9)
-        train_decoder(net, train, 10000, SCHEDULE, state, seed=seed)
-        net.dec_conn.plastic = False
-        acc, _ = evaluate(net, test, SCHEDULE, seed=seed)
-        return acc
+        return layerwise(net, train, test, 2000, 10000, seed, mode)
 
     td = [pipeline(seed, "td") for seed in range(3)]
     static = [pipeline(seed, "static") for seed in range(3)]
@@ -274,14 +262,7 @@ def test_criterion_10_linear_readout_baseline(mnist_dir):
     test = center_crop(load_mnist_split(mnist_dir, "test"), 22)
     seed = 0
     net = desk_network(seed, n_out=1000, n_c=10, ch_lc=100, k=15, s=4)
-    net.dec_conn.plastic = False
-    train_lc(net, train, 2000, SCHEDULE, seed=seed, window=500)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
-    state = RewardState(mode="td", eta_rpe=0.125, alpha=0.9)
-    train_decoder(net, train, 10000, SCHEDULE, state, seed=seed)
-    net.dec_conn.plastic = False
-    spiking_acc, _ = evaluate(net, test, SCHEDULE, seed=seed)
+    spiking_acc = layerwise(net, train, test, 2000, 10000, seed)
 
     x_train, y_train = extract_feature_matrix(net, train, 10000, SCHEDULE, seed)
     x_test, y_test = extract_feature_matrix(net, test, 10000, SCHEDULE, seed + 1)
@@ -309,15 +290,7 @@ def test_criterion_11_xor_composition(mnist_dir):
             dec_plasticity=PlasticityParams(eta_pre=0.1, eta_post=0.1,
                                             tau_plus=20.0, tau_minus=10.0),
         )
-        net.dec_conn.plastic = False
-        train_lc(net, train, 2000, SCHEDULE, seed=seed, window=500)
-        net.lc_conn.plastic = False
-        net.dec_conn.plastic = True
-        state = RewardState(mode="td", eta_rpe=0.125, alpha=0.9)
-        train_decoder(net, train, 10000, SCHEDULE, state, seed=seed)
-        net.dec_conn.plastic = False
-        acc, _ = evaluate(net, test, SCHEDULE, seed=seed)
-        return acc
+        return layerwise(net, train, test, 2000, 10000, seed)
 
     accs = [pipeline(seed) for seed in range(3)]
     mean = float(np.mean(accs))

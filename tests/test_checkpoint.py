@@ -12,7 +12,13 @@ from lcsnn.checkpoint import (
     load_arrays,
     save_arrays,
 )
-from lcsnn.engine import build_network, checkpoint_load, checkpoint_save, network_from_arrays
+from lcsnn.engine import (
+    build_network,
+    checkpoint_load,
+    checkpoint_save,
+    network_from_arrays,
+    network_to_arrays,
+)
 
 
 def test_array_round_trip_bit_identical(tmp_path):
@@ -60,7 +66,7 @@ def _toy_network(seed=0):
 def test_network_round_trip_bit_identical(tmp_path):
     net = _toy_network()
     net.lc_g[:] = np.linspace(0, 1, net.n_lc)
-    net.lc_conn.plastic = False
+    net.lc_trained = True
     path = tmp_path / "net.blcn"
     checkpoint_save(net, path)
     back = checkpoint_load(path)
@@ -68,8 +74,7 @@ def test_network_round_trip_bit_identical(tmp_path):
     assert (back.dec_conn.weights == net.dec_conn.weights).all()
     assert (back.lc_g == net.lc_g).all()
     assert (back.dec_g == net.dec_g).all()
-    assert back.lc_conn.plastic == net.lc_conn.plastic
-    assert back.dec_conn.plastic == net.dec_conn.plastic
+    assert back.lc_trained
     assert back.lc_params == net.lc_params
     assert back.dec_params == net.dec_params
     assert back.lc_plasticity == net.lc_plasticity
@@ -94,10 +99,7 @@ def test_checkpoint_carries_everything_training_continuation_needs(tmp_path):
     net = build_network(h_in=8, w_in=8, ch_lc=3, k=4, s=4, n_out=4, n_c=2, seed=5,
                         lc_params=NeuronParams(u_thr0=-60.0, adaptive=True),
                         dec_params=NeuronParams(u_thr0=-62.0, adaptive=False))
-    net.dec_conn.plastic = False
     train_lc(net, ds, 4, PhaseSchedule(t_learn=32), seed=5)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = True
     path = tmp_path / "handoff.blcn"
     checkpoint_save(net, path)
     reloaded = checkpoint_load(path)
@@ -110,6 +112,14 @@ def test_checkpoint_carries_everything_training_continuation_needs(tmp_path):
     assert (net.lc_g == reloaded.lc_g).all()
 
 
+def test_five_slot_layout_of_earlier_files_loads():
+    # earlier files end the layout with (filters untrained, decoder untrained)
+    arrays = network_to_arrays(_toy_network())
+    for lc_untrained, trained in ((0.0, True), (1.0, False)):
+        arrays["layout"] = np.append(arrays["layout"][:3], [lc_untrained, 1.0])
+        assert network_from_arrays(arrays).lc_trained is trained
+
+
 def test_missing_array_raises(tmp_path):
     with pytest.raises(CheckpointError):
         network_from_arrays({"lc_shape": np.array([8, 8, 3, 4, 4.0])})
@@ -117,8 +127,6 @@ def test_missing_array_raises(tmp_path):
 
 def test_inconsistent_shape_raises(tmp_path):
     net = _toy_network()
-    from lcsnn.engine import network_to_arrays
-
     arrays = network_to_arrays(net)
     arrays["lc_weights"] = arrays["lc_weights"][:, :, :, :2, :2].copy()
     with pytest.raises(CheckpointError):

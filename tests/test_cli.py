@@ -177,17 +177,35 @@ def test_sweep_summary_recomputable_from_runs(fake_mnist_dir, tmp_path):
     assert float(std) == pytest.approx(np.std(accs, ddof=1), abs=1e-6)
 
 
-def test_untrained_lc_checkpoint_rejected(fake_mnist_dir, tmp_path):
+def test_untrained_lc_checkpoint_rejected(fake_mnist_dir, tmp_path, capsys):
     from lcsnn.engine import build_network, checkpoint_save
 
     net = build_network(h_in=22, w_in=22, ch_lc=2, k=11, s=11, n_out=4, n_c=2, seed=0)
     path = tmp_path / "fresh.blcn"
-    checkpoint_save(net, path)  # lc still plastic: not trained yet
+    checkpoint_save(net, path)  # train_lc never ran on it
     code = _run([
         "train-decoder", "--data-dir", fake_mnist_dir, "--out", tmp_path / "runs",
         "--lc-checkpoint", path, *TINY,
     ])
     assert code == 1
+    assert "train-lc" in capsys.readouterr().err
+
+
+def test_network_keys_must_match_the_checkpoint(fake_mnist_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                 *TINY]) == 0
+    ckpt = _only_run_dir(out, "train-lc") / "network.blcn"
+    capsys.readouterr()
+    for command, flag in (("train-decoder", "--lc-checkpoint"), ("conditioning", "--lc-checkpoint"),
+                          ("svm", "--lc-checkpoint"), ("eval", "--checkpoint")):
+        assert _run([command, "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                     flag, ckpt, *TINY, "--set", "n_out=8"]) == 1
+        assert "layout" in capsys.readouterr().err
+    assert _run(["eval", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                 "--checkpoint", ckpt, *TINY, "--set", "tau_m=25"]) == 1
+    assert "lc_neurons" in capsys.readouterr().err
+    assert [d.name.split("-")[0] for d in out.iterdir() if d.is_dir()] == ["train"]
 
 
 def test_dt_reaches_the_simulator(fake_mnist_dir, tmp_path):

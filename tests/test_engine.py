@@ -88,7 +88,6 @@ def test_mode_none_is_pure():
 
 def test_no_weight_change_outside_learning_period():
     net = tiny_network()
-    net.lc_conn.plastic = False
     state = RewardState(mode="static")
     before = _hash(net.dec_conn.weights)
     res = run_sample(net, bright_image(), PhaseSchedule(16, 16, 0), sample_rng(0, 2, 0),
@@ -99,7 +98,6 @@ def test_no_weight_change_outside_learning_period():
 
 def test_weight_hash_constant_until_learning_phase():
     net = tiny_network()
-    net.lc_conn.plastic = False
     before = _hash(net.dec_conn.weights)
     at_decision_end = []
     run_sample(
@@ -133,18 +131,6 @@ def test_mode_flag_consistency_errors():
     net = tiny_network()
     with pytest.raises(EngineError):
         run_sample(net, bright_image(), PhaseSchedule(), sample_rng(0, 0, 0),
-                   mode=MODE_STDP_LC)  # decoder still plastic
-    net.dec_conn.plastic = False
-    net.lc_conn.plastic = False
-    with pytest.raises(EngineError):
-        run_sample(net, bright_image(), PhaseSchedule(), sample_rng(0, 0, 0),
-                   mode=MODE_STDP_LC)  # feature layer frozen
-    with pytest.raises(EngineError):
-        run_sample(net, bright_image(), PhaseSchedule(), sample_rng(0, 0, 0),
-                   mode=MODE_RSTDP_DECODER, target=0, reward_state=RewardState())
-    net.dec_conn.plastic = True
-    with pytest.raises(EngineError):
-        run_sample(net, bright_image(), PhaseSchedule(), sample_rng(0, 0, 0),
                    mode=MODE_RSTDP_DECODER)  # no target/reward state
     with pytest.raises(EngineError):
         run_sample(net, bright_image(), PhaseSchedule(16, 0, 16), sample_rng(0, 0, 0),
@@ -158,7 +144,6 @@ def test_training_is_deterministic_bit_for_bit():
 
     def one_run():
         net = tiny_network(seed=7)
-        net.lc_conn.plastic = False
         state = RewardState(mode="td")
         metrics = train_decoder(net, ds, 6, PhaseSchedule(16, 16, 16), state, seed=7)
         return _hash(net.dec_conn.weights, net.lc_g), list(metrics.rewards)
@@ -172,7 +157,6 @@ def test_training_is_deterministic_bit_for_bit():
 def test_layerwise_isolation_during_decoder_training():
     ds = make_blob_dataset(4, 8, 2, seed=6)
     net = tiny_network(seed=8)
-    net.lc_conn.plastic = False
     lc_hash = _hash(net.lc_conn.weights)
     train_decoder(net, ds, 4, PhaseSchedule(16, 16, 16), RewardState(), seed=8)
     assert _hash(net.lc_conn.weights) == lc_hash
@@ -180,7 +164,6 @@ def test_layerwise_isolation_during_decoder_training():
 
 def test_train_lc_zero_samples_is_identity():
     net = tiny_network()
-    net.dec_conn.plastic = False
     before = _hash(net.lc_conn.weights)
     norms = train_lc(net, make_blob_dataset(4, 8, 2, seed=1), 0, PhaseSchedule(), seed=0)
     assert norms == []
@@ -190,7 +173,6 @@ def test_train_lc_zero_samples_is_identity():
 def test_train_lc_closes_the_partial_last_window():
     ds = make_blob_dataset(4, 8, 2, seed=2)
     net = tiny_network(seed=3)
-    net.dec_conn.plastic = False
     w0 = net.lc_conn.weights.copy()
     norms = train_lc(net, ds, 3, PhaseSchedule(t_learn=32), seed=3, window=4)
     assert norms == [float(np.linalg.norm(net.lc_conn.weights - w0))]
@@ -200,7 +182,6 @@ def test_train_lc_closes_the_partial_last_window():
 def test_train_lc_keeps_normalized_bounded_weights():
     ds = make_blob_dataset(8, 8, 2, seed=2)
     net = tiny_network(seed=3)
-    net.dec_conn.plastic = False
     train_lc(net, ds, 8, PhaseSchedule(t_learn=32), seed=3, window=4)
     w = net.lc_conn.weights
     assert (w >= 0).all() and (w <= 1).all()
@@ -211,7 +192,6 @@ def test_train_lc_keeps_normalized_bounded_weights():
 def test_adaptation_accumulates_across_training_samples():
     ds = make_blob_dataset(4, 8, 2, seed=9)
     net = tiny_network(seed=4)
-    net.dec_conn.plastic = False
     assert (net.lc_g == 0).all()
     train_lc(net, ds, 4, PhaseSchedule(t_learn=64), seed=4)
     assert net.lc_g.max() > 0.0
@@ -220,23 +200,14 @@ def test_adaptation_accumulates_across_training_samples():
 # --- evaluation --------------------------------------------------------------
 
 
-def _frozen(net):
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = False
-    return net
-
-
-def test_evaluate_requires_frozen_network():
-    net = tiny_network()
+def test_evaluate_requires_a_decision_period():
     with pytest.raises(EngineError):
-        evaluate(net, make_blob_dataset(2, 8, 2, seed=0), PhaseSchedule(), seed=0)
-    with pytest.raises(EngineError):
-        evaluate(_frozen(tiny_network()), make_blob_dataset(2, 8, 2, seed=0),
-                 PhaseSchedule(16, 0, 16), seed=0)
+        evaluate(tiny_network(), make_blob_dataset(2, 8, 2, seed=0), PhaseSchedule(16, 0, 16),
+                 seed=0)
 
 
 def test_evaluate_forced_correct_routing():
-    net = _frozen(tiny_network())
+    net = tiny_network()
     net.dec_conn.weights[:, :2] = 1.0
     net.dec_conn.weights[:, 2:] = 0.0
     ds = make_blob_dataset(3, 8, 2, seed=1)
@@ -247,7 +218,7 @@ def test_evaluate_forced_correct_routing():
 
 
 def test_evaluate_is_pure_and_repeatable():
-    net = _frozen(tiny_network(seed=11))
+    net = tiny_network(seed=11)
     ds = make_blob_dataset(5, 8, 2, seed=3)
     before = _hash(net.lc_conn.weights, net.dec_conn.weights, net.lc_g, net.dec_g)
     acc1, d1 = evaluate(net, ds, PhaseSchedule(16, 32, 0), seed=5)
@@ -269,7 +240,7 @@ def test_evaluation_is_order_independent_per_sample():
     # every sample owns an index-addressable stream, so scoring a sample
     # alone equals scoring it inside the full pass (the parallel-safety
     # contract for frozen networks)
-    net = _frozen(tiny_network(seed=21))
+    net = tiny_network(seed=21)
     ds = make_blob_dataset(6, 8, 2, seed=13)
     _, full = evaluate(net, ds, PhaseSchedule(16, 32, 0), seed=9)
     for i in (3, 0, 5):
@@ -279,7 +250,7 @@ def test_evaluation_is_order_independent_per_sample():
 
 def test_random_decoder_sits_at_chance_on_balanced_labels():
     rng = np.random.default_rng(0)
-    net = _frozen(build_network(h_in=8, w_in=8, ch_lc=2, k=4, s=4, n_out=10, n_c=10, seed=13))
+    net = build_network(h_in=8, w_in=8, ch_lc=2, k=4, s=4, n_out=10, n_c=10, seed=13)
     images = rng.integers(0, 256, size=(100, 8, 8)).astype(np.uint8)
     from lcsnn.data import Dataset
 
@@ -394,7 +365,6 @@ def test_engine_matches_scalar_oracle_on_three_neuron_chain():
     )
     net.lc_conn.weights[:] = 0.99
     net.dec_conn.weights[:] = 0.85
-    net.lc_conn.plastic = False
 
     trajectory = []
     state = RewardState(mode="td", eta_rpe=0.3, alpha=0.7)
@@ -449,7 +419,6 @@ def test_lc_training_matches_scalar_oracle():
     )
     w0 = [0.6, 0.4, 0.5, 0.7]
     net.lc_conn.weights[0, 0, 0] = np.array(w0).reshape(2, 2)
-    net.dec_conn.plastic = False
 
     trajectory = []
     image = np.array([[250.0, 120.0], [200.0, 60.0]])
@@ -477,7 +446,6 @@ def test_lc_weight_changes_shrink_over_mnist_training(mnist_train):
 
     ds = filter_classes(center_crop(mnist_train, 22), [0, 1], relabel=True)
     net = build_network(h_in=22, w_in=22, ch_lc=25, k=13, s=3, n_out=4, n_c=2, seed=0)
-    net.dec_conn.plastic = False
     norms = train_lc(net, ds, 300, PhaseSchedule(256, 256, 256), seed=0, window=100)
     assert len(norms) == 3
     assert norms[-1] < norms[0]  # filters converge: later windows move less
@@ -487,7 +455,6 @@ def test_always_correct_decoder_decays_td_modulation():
     # route everything to group 0 and reward it: the stream is all-correct,
     # so the prediction-error modulation shrinks toward zero
     net = tiny_network(seed=2)
-    net.lc_conn.plastic = False
     net.dec_conn.weights[:, :2] = 1.0
     net.dec_conn.weights[:, 2:] = 0.0
     ds = make_blob_dataset(6, 8, 2, seed=8)

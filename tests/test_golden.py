@@ -48,16 +48,8 @@ def _dataset():
     return make_blob_dataset(6, 8, 2, seed=4)
 
 
-def _frozen(seed):
-    net = tiny_network(seed=seed)
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = False
-    return net
-
-
 def test_golden_train_lc():
     net = tiny_network(seed=5)
-    net.dec_conn.plastic = False
     w0 = net.lc_conn.weights.copy()
     train_lc(net, _dataset(), 6, PhaseSchedule(16, 16, 48), seed=5, window=4)
     assert not np.array_equal(net.lc_conn.weights, w0)
@@ -66,7 +58,6 @@ def test_golden_train_lc():
 
 def test_golden_train_decoder_td():
     net = tiny_network(seed=6)
-    net.lc_conn.plastic = False
     w0 = net.dec_conn.weights.copy()
     metrics = train_decoder(net, _dataset(), 6, PhaseSchedule(16, 16, 16),
                             RewardState(mode="td"), seed=6)
@@ -79,25 +70,25 @@ def test_golden_train_decoder_td():
 
 
 def test_golden_evaluate():
-    _, decisions = evaluate(_frozen(7), _dataset(), PhaseSchedule(16, 32, 16), seed=7)
+    _, decisions = evaluate(tiny_network(seed=7), _dataset(), PhaseSchedule(16, 32, 16), seed=7)
     assert _digest(decisions) == GOLDEN["evaluate"]
 
 
 def test_golden_extract_feature_matrix():
-    x, _ = readout.extract_feature_matrix(_frozen(7), _dataset(), 6,
+    x, _ = readout.extract_feature_matrix(tiny_network(seed=7), _dataset(), 6,
                                           PhaseSchedule(16, 16, 32), seed=8)
     assert x.sum() > 0
     assert _digest(x) == GOLDEN["extract_feature_matrix"]
 
 
 def test_golden_run_sample_lc_activation():
-    res = run_sample(_frozen(7), _dataset().images[0], PhaseSchedule(16, 32, 16),
+    res = run_sample(tiny_network(seed=7), _dataset().images[0], PhaseSchedule(16, 32, 16),
                      sample_rng(9, 3, 0), mode=MODE_NONE)
     assert res.lc_activation.sum() > 0
     assert _digest(res.lc_activation) == GOLDEN["run_sample_lc_activation"]
 
 
 def test_golden_run_sample_half_tick():
-    res = run_sample(_frozen(7), _dataset().images[0], PhaseSchedule(16, 32, 16, dt=0.5),
+    res = run_sample(tiny_network(seed=7), _dataset().images[0], PhaseSchedule(16, 32, 16, dt=0.5),
                      sample_rng(9, 3, 0), mode=MODE_NONE)
     assert _digest(res.lc_activation, res.group_counts) == GOLDEN["run_sample_half_tick"]

@@ -141,7 +141,7 @@ def test_stepwise_traces_equal_pair_sum_oracle():
 def _lc_conn(weights: np.ndarray) -> LocalConnection:
     k = weights.shape[-1]
     shape = LcShape(h_in=k, w_in=k, ch_out=weights.shape[0], k=k, s=1)
-    return LocalConnection(shape=shape, weights=weights, plastic=True)
+    return LocalConnection(shape=shape, weights=weights)
 
 
 def test_normalize_uniform_and_proportional():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcsnn.engine import EngineError, PhaseSchedule, build_network, sample_rng
+from lcsnn.engine import PhaseSchedule, build_network, sample_rng
 from lcsnn.neurons import NeuronParams
 from lcsnn.readout import (
     LinearModel,
@@ -13,25 +13,22 @@ from lcsnn.readout import (
 )
 
 
-def frozen_net(seed=0):
-    net = build_network(h_in=8, w_in=8, ch_lc=3, k=4, s=4, n_out=4, n_c=2, seed=seed,
-                        lc_params=NeuronParams(u_thr0=-60.0, adaptive=True))
-    net.lc_conn.plastic = False
-    net.dec_conn.plastic = False
-    return net
+def feature_net(seed=0):
+    return build_network(h_in=8, w_in=8, ch_lc=3, k=4, s=4, n_out=4, n_c=2, seed=seed,
+                         lc_params=NeuronParams(u_thr0=-60.0, adaptive=True))
 
 
 SCHEDULE = PhaseSchedule(16, 16, 64)
 
 
 def test_zero_image_gives_zero_features():
-    counts = extract_features(frozen_net(), np.zeros((8, 8)), SCHEDULE, sample_rng(0, 4, 0))
+    counts = extract_features(feature_net(), np.zeros((8, 8)), SCHEDULE, sample_rng(0, 4, 0))
     assert counts.shape == (12,)
     assert (counts == 0).all()
 
 
 def test_features_deterministic_and_bounded():
-    net = frozen_net()
+    net = feature_net()
     img = np.full((8, 8), 255.0)
     a = extract_features(net, img, SCHEDULE, sample_rng(1, 4, 0))
     b = extract_features(net, img, SCHEDULE, sample_rng(1, 4, 0))
@@ -41,19 +38,12 @@ def test_features_deterministic_and_bounded():
 
 
 def test_features_ignore_decoder_weights():
-    net = frozen_net()
+    net = feature_net()
     img = np.full((8, 8), 200.0)
     a = extract_features(net, img, SCHEDULE, sample_rng(2, 4, 0))
     net.dec_conn.weights[:] = 0.0
     b = extract_features(net, img, SCHEDULE, sample_rng(2, 4, 0))
     assert (a == b).all()
-
-
-def test_features_require_frozen_filters():
-    net = frozen_net()
-    net.lc_conn.plastic = True
-    with pytest.raises(EngineError):
-        extract_features(net, np.zeros((8, 8)), SCHEDULE, sample_rng(0, 4, 0))
 
 
 def _blobs(n=200, seed=0, separation=8.0):

@@ -63,13 +63,6 @@ def test_td_bounds_hold_for_any_reward_sequence(rewards):
         assert -1.0 - 1e-12 <= state.ema_r <= 1.0 + 1e-12
 
 
-def test_reset_restores_neutral_expectation():
-    state = RewardState(mode="td")
-    modulate(state, 1)
-    state.reset()
-    assert state.ema_r == 0.0
-
-
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         RewardState(mode="bogus")

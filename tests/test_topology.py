@@ -1,3 +1,5 @@
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ from lcsnn.topology import (
     make_dense_connection,
     make_local_connection,
 )
+
+
+def pairs(mask: InhibitionMask) -> Iterator[tuple[int, int]]:
+    """Brute-force enumeration of a mask's wired ordered (pre, post) pairs."""
+    labels = mask.labels.tolist()
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if i != j and (mask.scope == "all" or (a == b) == (mask.scope == "within")):
+                yield (i, j)
+
+
+def pair_count(mask: InhibitionMask) -> int:
+    return sum(1 for _ in pairs(mask))
 
 
 def test_output_shape_arithmetic():
@@ -73,36 +88,36 @@ def test_receptive_fields_are_independent():
 
 def test_lc_inhibition_pair_counts():
     one_loc = build_lc_inhibition(LcShape(h_in=3, w_in=3, ch_out=2, k=3, s=1), -100.0)
-    assert one_loc.pair_count() == 2
-    assert set(one_loc.pairs()) == {(0, 1), (1, 0)}
+    assert pair_count(one_loc) == 2
+    assert set(pairs(one_loc)) == {(0, 1), (1, 0)}
 
     big = build_lc_inhibition(LcShape(h_in=22, w_in=22, ch_out=100, k=15, s=4), -100.0)
-    assert big.pair_count() == 4 * 100 * 99
+    assert pair_count(big) == 4 * 100 * 99
 
     solo = build_lc_inhibition(LcShape(h_in=3, w_in=3, ch_out=1, k=3, s=1), -100.0)
-    assert solo.pair_count() == 0
-    assert list(solo.pairs()) == []
+    assert pair_count(solo) == 0
+    assert list(pairs(solo)) == []
 
 
 def test_lc_inhibition_never_crosses_fields():
     sh = LcShape(h_in=4, w_in=4, ch_out=2, k=2, s=2)  # 4 locations, 8 neurons
     mask = build_lc_inhibition(sh, -50.0)
     loc = lambda i: mask.labels[i]
-    for i, j in mask.pairs():
+    for i, j in pairs(mask):
         assert i != j
         assert loc(i) == loc(j)
 
 
 def test_decoder_inhibition_pairs_and_counts():
     mask = build_decoder_inhibition(4, 2, -100.0)
-    assert set(mask.pairs()) == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (3, 0), (2, 1), (3, 1)}
-    assert mask.pair_count() == 8
-    assert build_decoder_inhibition(4, 1, -100.0).pair_count() == 0
-    assert build_decoder_inhibition(20, 2, -100.0).pair_count() == 200
+    assert set(pairs(mask)) == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (3, 0), (2, 1), (3, 1)}
+    assert pair_count(mask) == 8
+    assert pair_count(build_decoder_inhibition(4, 1, -100.0)) == 0
+    assert pair_count(build_decoder_inhibition(20, 2, -100.0)) == 200
     with pytest.raises(ValueError):
         build_decoder_inhibition(10, 3, -100.0)
     within = build_decoder_inhibition(4, 2, -100.0, within_group=True)
-    assert within.pair_count() == 12  # everything but self
+    assert pair_count(within) == 12  # everything but self
 
 
 def test_inhibition_drive_within_scope():
@@ -117,6 +132,17 @@ def test_inhibition_drive_across_scope():
     drive = mask.drive(np.array([True, False, True, True]))
     # n0/n1 see the two spikes in group 1; n2/n3 see the one spike in group 0
     assert drive.tolist() == [-20.0, -20.0, -10.0, -10.0]
+
+
+@pytest.mark.parametrize("scope", ["within", "across", "all"])
+def test_inhibition_drive_matches_pair_enumeration(scope):
+    rng = np.random.default_rng(3)
+    mask = InhibitionMask(labels=rng.integers(0, 4, size=12), scope=scope, w_inh=-7.0)
+    spikes = rng.random(12) < 0.5
+    expected = np.zeros(12)
+    for i, j in pairs(mask):
+        expected[j] += mask.w_inh * spikes[i]
+    assert np.array_equal(mask.drive(spikes), expected)
 
 
 def test_inhibition_rejects_bad_args():
