@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Every command creates a fresh run directory ``<command>-<epoch>-<seed>``
-under the output root, echoes the fully resolved configuration there for
-provenance, writes its artifacts (metrics CSVs, heatmaps, checkpoints),
-and prints a one-line summary.  Exit codes: 0 success, 1 configuration or
-usage error, 2 missing file or I/O error, 3 internal failure.
+Every command runs in one order: resolve the configuration (defaults, the
+``--config`` file, every ``--set``, then the named flags), load its data
+and checkpoint, build and check the network, and only then create a fresh
+run directory ``<command>-<epoch>-<seed>`` under the output root, run, and
+write there the echoed configuration and the artifacts (metrics CSVs,
+heatmaps, checkpoints).  A rejected configuration, dataset, checkpoint or
+grid value therefore leaves no run directory.  Each command prints a
+one-line summary.  Exit codes: 0 success, 1 configuration or usage error,
+2 missing file or I/O error, 3 internal failure.
 
-The dataset root is taken from ``--data-dir``, falling back to the
-``MNIST_DIR`` environment variable.
+The dataset root is the ``data_dir`` key (``--data-dir``), falling back to
+the ``MNIST_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -50,37 +54,24 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 
-def lc_neuron_params(cfg: RunConfig) -> NeuronParams:
-    return NeuronParams(
-        u_rest=cfg.u_rest, u_reset=cfg.u_reset, u_thr0=cfg.u_thr0, tau_m=cfg.tau_m,
-        r_mem=cfg.r_mem, delta_t_ref=cfg.delta_t_ref, g0=cfg.g0, tau_g=cfg.tau_g,
-        adaptive=cfg.lc_adaptive,
-    )
-
-
-def dec_neuron_params(cfg: RunConfig) -> NeuronParams:
-    return NeuronParams(
-        u_rest=cfg.u_rest, u_reset=cfg.u_reset, u_thr0=cfg.u_thr0, tau_m=cfg.tau_m,
-        r_mem=cfg.dec_r_mem, delta_t_ref=cfg.delta_t_ref, g0=cfg.g0, tau_g=cfg.tau_g,
-        adaptive=cfg.dec_adaptive,
-    )
-
-
 def network_from_config(cfg: RunConfig) -> Network:
+    """The one map from configuration keys to the network's parameter objects."""
+    neuron = dict(u_rest=cfg.u_rest, u_reset=cfg.u_reset, u_thr0=cfg.u_thr0, tau_m=cfg.tau_m,
+                  delta_t_ref=cfg.delta_t_ref, g0=cfg.g0, tau_g=cfg.tau_g)
+    bounds = dict(gamma=cfg.gamma, w_min=cfg.w_min, w_max=cfg.w_max)
     return build_network(
         h_in=cfg.h_in, w_in=cfg.w_in, ch_lc=cfg.ch_lc, k=cfg.k, s=cfg.s,
         n_out=cfg.n_out, n_c=cfg.n_c, seed=cfg.seed,
         encoder=EncoderParams(f_max=cfg.f_max, intensity_max=cfg.intensity_max),
-        lc_params=lc_neuron_params(cfg),
-        dec_params=dec_neuron_params(cfg),
+        lc_params=NeuronParams(r_mem=cfg.r_mem, adaptive=cfg.lc_adaptive, **neuron),
+        dec_params=NeuronParams(r_mem=cfg.dec_r_mem, adaptive=cfg.dec_adaptive, **neuron),
         lc_plasticity=PlasticityParams(
             eta_pre=cfg.stdp_eta_pre, eta_post=cfg.stdp_eta_post, tau_plus=cfg.tau_plus,
-            tau_minus=cfg.tau_minus, gamma=cfg.gamma, w_min=cfg.w_min, w_max=cfg.w_max,
-            c_norm=cfg.c_norm,
+            tau_minus=cfg.tau_minus, c_norm=cfg.c_norm, **bounds,
         ),
         dec_plasticity=PlasticityParams(
             eta_pre=cfg.rstdp_eta_pre, eta_post=cfg.rstdp_eta_post, tau_plus=cfg.dec_tau_plus,
-            tau_minus=cfg.dec_tau_minus, gamma=cfg.gamma, w_min=cfg.w_min, w_max=cfg.w_max,
+            tau_minus=cfg.dec_tau_minus, **bounds,
         ),
         w_inh=cfg.w_inh,
         dec_within_group=cfg.dec_within_group_inhibition,
@@ -95,20 +86,37 @@ def reward_state_from_config(cfg: RunConfig) -> RewardState:
     return RewardState(mode=cfg.reward_mode, eta_rpe=cfg.eta_rpe, alpha=cfg.alpha)
 
 
-def data_root(cfg: RunConfig, flag: str = "") -> Path:
-    root = flag or cfg.data_dir or os.environ.get("MNIST_DIR", "")
+def data_root(cfg: RunConfig) -> Path:
+    root = cfg.data_dir or os.environ.get("MNIST_DIR", "")
     if not root:
         raise ConfigError("data_dir", "set --data-dir, the data_dir key, or MNIST_DIR")
     return Path(root)
 
 
-def load_split(cfg: RunConfig, split: str, data_dir_flag: str = "") -> datamod.Dataset:
-    ds = datamod.load_mnist_split(data_root(cfg, data_dir_flag), split)
-    ds = datamod.center_crop(ds, target=cfg.h_in)
+def _check_images(cfg: RunConfig, ds: datamod.Dataset) -> datamod.Dataset:
+    h, w = ds.images.shape[1:]
+    if (h, w) != (cfg.h_in, cfg.w_in):
+        raise ConfigError("h_in" if h != cfg.h_in else "w_in",
+                          f"the images are {h}x{w} but the network takes {cfg.h_in}x{cfg.w_in}")
+    return ds
+
+
+def _check_classes(cfg: RunConfig, ds: datamod.Dataset) -> datamod.Dataset:
+    if ds.class_count > cfg.n_c:
+        raise ConfigError("classes", f"the data has {ds.class_count} classes but the decoder "
+                                     f"votes among n_c = {cfg.n_c} groups")
+    return ds
+
+
+def load_split(cfg: RunConfig, split: str) -> datamod.Dataset:
+    """One MNIST split, center-cropped to ``h_in`` and restricted to ``classes``."""
+    ds = datamod.load_mnist_split(data_root(cfg), split)
+    if cfg.h_in <= min(ds.images.shape[1:]):
+        ds = datamod.center_crop(ds, target=cfg.h_in)
     classes = cfg.class_list()
     if classes is not None:
         ds = datamod.filter_classes(ds, classes, relabel=True)
-    return ds
+    return _check_images(cfg, ds)
 
 
 def make_run_dir(cfg: RunConfig, command: str) -> Path:
@@ -143,9 +151,9 @@ def run_pipeline(cfg: RunConfig, train, test) -> tuple[Network, monitors.RunMetr
 
 
 def cmd_train_lc(cfg: RunConfig, args) -> int:
-    run_dir = make_run_dir(cfg, "train-lc")
-    ds = load_split(cfg, "train", args.data_dir)
+    ds = load_split(cfg, "train")
     net = network_from_config(cfg)
+    run_dir = make_run_dir(cfg, "train-lc")
     norms = train_lc(net, ds, cfg.lc_samples, schedule_from_config(cfg), cfg.seed,
                      window=cfg.metrics_window)
     checkpoint_save(net, run_dir / "network.blcn")
@@ -161,7 +169,7 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _check_matches_config(net: Network, cfg: RunConfig) -> None:
+def _check_matches_config(net: Network, cfg: RunConfig) -> Network:
     """Reject a loaded network whose non-weight arrays differ from the config's."""
     ref = network_from_config(cfg)
     ref.lc_trained = net.lc_trained  # training state, not configuration
@@ -172,6 +180,11 @@ def _check_matches_config(net: Network, cfg: RunConfig) -> None:
         if not np.array_equal(got[name], want, equal_nan=True):
             raise ConfigError(name, f"checkpoint holds {got[name].tolist()} but the "
                                     f"configuration gives {want.tolist()}")
+    return net
+
+
+def _write_decoder_map(path: Path, net: Network, cfg: RunConfig) -> None:
+    monitors.write_pgm(path, monitors.dense_map_image(net.dec_conn, cfg.w_min, cfg.w_max))
 
 
 def _load_lc_checkpoint(path: str) -> Network:
@@ -182,10 +195,9 @@ def _load_lc_checkpoint(path: str) -> Network:
 
 
 def cmd_train_decoder(cfg: RunConfig, args) -> int:
-    net = _load_lc_checkpoint(args.lc_checkpoint)
-    _check_matches_config(net, cfg)
+    net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
+    ds = _check_classes(cfg, load_split(cfg, "train"))
     run_dir = make_run_dir(cfg, "train-decoder")
-    ds = load_split(cfg, "train", args.data_dir)
     metrics = train_decoder(
         net, ds, cfg.decoder_samples, schedule_from_config(cfg),
         reward_state_from_config(cfg), cfg.seed, window=cfg.metrics_window,
@@ -193,10 +205,7 @@ def cmd_train_decoder(cfg: RunConfig, args) -> int:
     checkpoint_save(net, run_dir / "network.blcn")
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
-    monitors.write_pgm(
-        run_dir / "decoder_weights.pgm",
-        monitors.dense_map_image(net.dec_conn, cfg.w_min, cfg.w_max),
-    )
+    _write_decoder_map(run_dir / "decoder_weights.pgm", net, cfg)
     final_acc = metrics.running_accuracy()[-1] if len(metrics) else 0.0
     append_summary(cfg, "train-decoder", run_dir, "final_running_accuracy", final_acc)
     print(
@@ -207,10 +216,9 @@ def cmd_train_decoder(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    net = checkpoint_load(args.checkpoint)
-    _check_matches_config(net, cfg)
+    net = _check_matches_config(checkpoint_load(args.checkpoint), cfg)
+    ds = _check_classes(cfg, load_split(cfg, "test"))
     run_dir = make_run_dir(cfg, "eval")
-    ds = load_split(cfg, "test", args.data_dir)
     n = cfg.eval_samples or None
     accuracy, decisions = evaluate(net, ds, schedule_from_config(cfg), cfg.seed, n_samples=n)
     with open(run_dir / "decisions.csv", "w", newline="") as f:
@@ -225,15 +233,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_conditioning(cfg: RunConfig, args) -> int:
     if cfg.n_c != 2:
         raise ConfigError("n_c", "the conditioning protocol uses two response groups")
-    net = _load_lc_checkpoint(args.lc_checkpoint)
-    _check_matches_config(net, cfg)
+    net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
+    stimuli = datamod.filter_classes(load_split(cfg, "train"), [cfg.stimulus_class])
     run_dir = make_run_dir(cfg, "conditioning")
-    ds = load_split(cfg, "train", args.data_dir)
-    stimuli = datamod.filter_classes(ds, [cfg.stimulus_class])
-    monitors.write_pgm(
-        run_dir / "decoder_weights_initial.pgm",
-        monitors.dense_map_image(net.dec_conn, cfg.w_min, cfg.w_max),
-    )
+    _write_decoder_map(run_dir / "decoder_weights_initial.pgm", net, cfg)
     # task 1 rewards group 1; after the swap the rewarded response is group 0
     target_for = lambda i: 1 if i < cfg.swap_at else 0
     metrics = train_decoder(
@@ -243,10 +246,7 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
     )
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
-    monitors.write_pgm(
-        run_dir / "decoder_weights_final.pgm",
-        monitors.dense_map_image(net.dec_conn, cfg.w_min, cfg.w_max),
-    )
+    _write_decoder_map(run_dir / "decoder_weights_final.pgm", net, cfg)
     rr = metrics.reward_rate()
     final_rate = rr[-1] if rr.size else 0.0
     append_summary(cfg, "conditioning", run_dir, "final_reward_rate", final_rate)
@@ -260,13 +260,14 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
 def cmd_xor(cfg: RunConfig, args) -> int:
     from .engine import STAGE_XOR, sample_rng
 
-    run_dir = make_run_dir(cfg, "xor")
-    root = data_root(cfg, args.data_dir)
+    root = data_root(cfg)
     train_src = datamod.load_mnist_split(root, "train")
     test_src = datamod.load_mnist_split(root, "test")
     train = datamod.build_xor_mnist(train_src, cfg.xor_train, sample_rng(cfg.seed, STAGE_XOR, 0))
     test = datamod.build_xor_mnist(test_src, cfg.xor_test, sample_rng(cfg.seed, STAGE_XOR, 1))
-
+    for ds in (train, test):
+        _check_classes(cfg, _check_images(cfg, ds))
+    run_dir = make_run_dir(cfg, "xor")
     net, metrics, accuracy = run_pipeline(cfg, train, test)
     checkpoint_save(net, run_dir / "network.blcn")
     metrics.write_metrics_csv(run_dir / "metrics.csv")
@@ -277,11 +278,10 @@ def cmd_xor(cfg: RunConfig, args) -> int:
 
 
 def cmd_svm(cfg: RunConfig, args) -> int:
-    net = _load_lc_checkpoint(args.lc_checkpoint)
-    _check_matches_config(net, cfg)
+    net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
+    train = load_split(cfg, "train")
+    test = load_split(cfg, "test")
     run_dir = make_run_dir(cfg, "svm")
-    train = load_split(cfg, "train", args.data_dir)
-    test = load_split(cfg, "test", args.data_dir)
     schedule = schedule_from_config(cfg)
     x_train, y_train = readout.extract_feature_matrix(
         net, train, cfg.svm_train_samples, schedule, cfg.seed
@@ -298,56 +298,60 @@ def cmd_svm(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _sweep_run(payload) -> dict:
-    """One full pipeline run (used directly and from worker processes)."""
-    base_overrides, combo, seed, data_dir, out_dir = payload
-    overrides = [f"{k}={v}" for k, v in combo.items()] + [f"seed={seed}", f"out_dir={out_dir}"]
-    if data_dir:
-        overrides.append(f"data_dir={data_dir}")
-    cfg = resolve_config(None, [*base_overrides, *overrides])
-    _, _, accuracy = run_pipeline(cfg, load_split(cfg, "train"), load_split(cfg, "test"))
-    return {**combo, "seed": seed, "accuracy": accuracy}
+def _sweep_accuracy(cfg: RunConfig, train, test) -> float:
+    """One run's test accuracy (called directly and from worker processes)."""
+    return run_pipeline(cfg, train, test)[2]
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    run_dir = make_run_dir(cfg, "sweep")
     grid: dict[str, list[str]] = {}
     for item in args.grid or []:
-        if "=" not in item:
+        key, _, values = item.partition("=")
+        values = [v.strip() for v in values.split(",") if v.strip()]
+        if not values:
             raise ConfigError(item, "grid entries must look like key=v1,v2")
-        key, values = item.split("=", 1)
-        grid[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
-    seeds = [int(s) for s in (args.seeds or str(cfg.seed)).split(",")]
-    base_overrides = [o for o in (args.set or [])]
-    combos = [dict(zip(grid.keys(), values)) for values in product(*grid.values())] or [{}]
-
-    payloads = [
-        (base_overrides, combo, seed, getattr(args, "data_dir", "") or cfg.data_dir, str(run_dir))
-        for combo in combos
-        for seed in seeds
+        grid[key.strip()] = values
+    combos = [dict(zip(grid, values)) for values in product(*grid.values())] or [{}]
+    seeds = (args.seeds or str(cfg.seed)).split(",")
+    points = list(product(combos, seeds))
+    # each run resolves like a command line that also sets its grid values and seed
+    configs = [
+        _resolve(argparse.Namespace(**{**vars(args), "seed": None, "set": [
+            *args.set, *(f"{k}={v}" for k, v in combo.items()), f"seed={seed}"]}))
+        for combo, seed in points
     ]
+    splits: dict[tuple, tuple] = {}  # runs that read the same data share one copy
+    jobs = []
+    for job in configs:
+        key = (job.data_dir, job.h_in, job.w_in, job.classes)
+        if key not in splits:
+            splits[key] = (load_split(job, "train"), load_split(job, "test"))
+        for ds in splits[key]:
+            _check_classes(job, ds)
+        jobs.append((job, *splits[key]))
+
+    run_dir = make_run_dir(cfg, "sweep")
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_run, payloads))
+            accuracies = list(pool.map(_sweep_accuracy, *zip(*jobs)))
     else:
-        results = [_sweep_run(p) for p in payloads]
+        accuracies = [_sweep_accuracy(*job) for job in jobs]
 
-    keys = list(grid.keys())
     with open(run_dir / "sweep_runs.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([*keys, "seed", "accuracy"])
-        for r in results:
-            writer.writerow([*(r[k] for k in keys), r["seed"], f"{r['accuracy']:.6f}"])
+        writer.writerow([*grid, "seed", "accuracy"])
+        for (combo, _), job, acc in zip(points, configs, accuracies):
+            writer.writerow([*combo.values(), job.seed, f"{acc:.6f}"])
     with open(run_dir / "sweep_summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([*keys, "n_seeds", "mean_accuracy", "std_accuracy"])
-        for combo in combos:
-            accs = [r["accuracy"] for r in results if all(r[k] == combo[k] for k in keys)]
+        writer.writerow([*grid, "n_seeds", "mean_accuracy", "std_accuracy"])
+        for i, combo in enumerate(combos):
+            accs = accuracies[i * len(seeds):(i + 1) * len(seeds)]
             mean = float(np.mean(accs))
             std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-            writer.writerow([*(combo[k] for k in keys), len(accs), f"{mean:.6f}", f"{std:.6f}"])
+            writer.writerow([*combo.values(), len(accs), f"{mean:.6f}", f"{std:.6f}"])
             print(f"sweep {combo or '(base)'}: {mean:.4f} +/- {std:.4f} over {len(accs)} seeds")
-    print(f"sweep: {len(results)} runs -> {run_dir}")
+    print(f"sweep: {len(accuracies)} runs -> {run_dir}")
     return EXIT_OK
 
 
@@ -393,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
+    """Defaults, then ``--config``, then every ``--set``, then the named flags."""
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")

@@ -135,18 +135,25 @@ class RunConfig:
             raise ConfigError("u_reset", "must not exceed u_thr0")
         if self.f_max <= 0 or self.f_max * self.dt / 1000.0 > 1.0:
             raise ConfigError("f_max", "per-tick spike probability must lie in (0, 1]")
+        if self.intensity_max <= 0:
+            raise ConfigError("intensity_max", "must be positive")
         if self.k > min(self.h_in, self.w_in):
             raise ConfigError("k", f"kernel exceeds input extent ({self.h_in}, {self.w_in})")
         if self.s < 1:
             raise ConfigError("s", "stride must be at least 1")
         if self.ch_lc < 1:
             raise ConfigError("ch_lc", "must be at least 1")
+        if self.n_out < 1:
+            raise ConfigError("n_out", "must be at least 1")
         if self.n_c < 1 or self.n_out % self.n_c != 0:
             raise ConfigError("n_c", f"must divide n_out ({self.n_out})")
         if self.w_inh >= 0:
             raise ConfigError("w_inh", "must be negative")
         if not (self.w_min < self.c_norm < self.w_max):
             raise ConfigError("c_norm", f"must lie inside ({self.w_min}, {self.w_max})")
+        for key in ("stdp_eta_pre", "stdp_eta_post", "rstdp_eta_pre", "rstdp_eta_post"):
+            if getattr(self, key) < 0:
+                raise ConfigError(key, "learning rates must be non-negative")
         if self.w_min >= self.w_max:
             raise ConfigError("w_min", "must be below w_max")
         if min(self.t_adapt, self.t_dec, self.t_learn) < 0:

@@ -44,7 +44,7 @@ owned by exactly one sequential run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +177,11 @@ def build_network(
     n_out: int,
     n_c: int,
     seed: int,
-    encoder: EncoderParams | None = None,
-    lc_params: NeuronParams | None = None,
-    dec_params: NeuronParams | None = None,
-    lc_plasticity: PlasticityParams | None = None,
-    dec_plasticity: PlasticityParams | None = None,
+    encoder: EncoderParams = EncoderParams(),
+    lc_params: NeuronParams = NeuronParams(adaptive=True),
+    dec_params: NeuronParams = NeuronParams(adaptive=False, r_mem=8.0),
+    lc_plasticity: PlasticityParams = PlasticityParams(eta_pre=0.0001, eta_post=0.01, c_norm=0.25),
+    dec_plasticity: PlasticityParams = PlasticityParams(eta_pre=0.1, eta_post=0.1, tau_minus=10.0),
     w_inh: float = -100.0,
     dec_within_group: bool = False,
 ) -> Network:
@@ -201,16 +201,8 @@ def build_network(
     rng = sample_rng(seed, STAGE_INIT)
     lc_conn = make_local_connection(shape, rng)
     dec_conn = make_dense_connection(shape.n_post, n_out, rng)
-    if lc_params is None:
-        lc_params = NeuronParams(adaptive=True)
-    if dec_params is None:
-        dec_params = NeuronParams(adaptive=False, r_mem=8.0)
-    if lc_plasticity is None:
-        lc_plasticity = PlasticityParams(eta_pre=0.0001, eta_post=0.01, c_norm=0.25)
-    if dec_plasticity is None:
-        dec_plasticity = PlasticityParams(eta_pre=0.1, eta_post=0.1, tau_minus=10.0)
     return Network(
-        encoder=encoder or EncoderParams(),
+        encoder=encoder,
         lc_params=lc_params,
         lc_conn=lc_conn,
         lc_inhib=build_lc_inhibition(shape, w_inh),
@@ -267,8 +259,11 @@ def simulate(
     last tick.  ``mode`` names the connection that learns: its traces run from
     the first tick and its weights change from the window's end on (the
     learning period).  A learning run keeps the adapted threshold offsets
-    in the network; a ``"none"`` run mutates nothing.  Callers validate.
+    in the network; a ``"none"`` run mutates nothing.  Callers validate the
+    mode; an input row that is not one spike per network input is rejected.
     """
+    if spikes_in.shape[1] != net.n_in:
+        raise EngineError(f"image has {spikes_in.shape[1]} pixels but the network takes {net.n_in}")
     dt = schedule.dt
     window_end = schedule.t_adapt + schedule.t_dec
     lc_state = make_state(net.n_lc, net.lc_params)
@@ -425,6 +420,8 @@ def train_decoder(
     of the input).  Only the decision's validity ever feeds back into the
     network.
     """
+    if target_for is None and dataset.class_count > net.n_c:
+        raise EngineError(f"{dataset.class_count} classes do not fit {net.n_c} decoder groups")
     metrics = RunMetrics(window=window)
     for i in range(n_samples):
         idx = i % len(dataset)
@@ -457,6 +454,8 @@ def evaluate(
     """
     if schedule.t_dec < 1:
         raise EngineError("evaluation needs a decision period")
+    if dataset.class_count > net.n_c:
+        raise EngineError(f"{dataset.class_count} classes do not fit {net.n_c} decoder groups")
     eval_schedule = replace(schedule, t_learn=0)
     n = len(dataset) if n_samples is None else min(n_samples, len(dataset))
     decisions = np.empty(n, dtype=np.int64)
@@ -474,32 +473,18 @@ def evaluate(
 # --- checkpointing ---------------------------------------------------------
 
 
-def _neuron_params_to_vec(p: NeuronParams) -> np.ndarray:
-    return np.array(
-        [p.u_rest, p.u_reset, p.u_thr0, p.tau_m, p.r_mem, p.delta_t_ref, p.g0, p.tau_g,
-         float(p.adaptive)]
-    )
+def _params_to_vec(p) -> np.ndarray:
+    """Parameter fields in declaration order, which is the stored slot order;
+    an unset optional (``c_norm``) is stored as NaN."""
+    return np.array([np.nan if v is None else float(v) for v in astuple(p)])
 
 
-def _neuron_params_from_vec(v: np.ndarray) -> NeuronParams:
-    return NeuronParams(
-        u_rest=v[0], u_reset=v[1], u_thr0=v[2], tau_m=v[3], r_mem=v[4],
-        delta_t_ref=v[5], g0=v[6], tau_g=v[7], adaptive=bool(v[8]),
-    )
-
-
-def _plasticity_to_vec(p: PlasticityParams) -> np.ndarray:
-    return np.array(
-        [p.eta_pre, p.eta_post, p.tau_plus, p.tau_minus, p.gamma, p.w_min, p.w_max,
-         np.nan if p.c_norm is None else p.c_norm]
-    )
-
-
-def _plasticity_from_vec(v: np.ndarray) -> PlasticityParams:
-    return PlasticityParams(
-        eta_pre=v[0], eta_post=v[1], tau_plus=v[2], tau_minus=v[3], gamma=v[4],
-        w_min=v[5], w_max=v[6], c_norm=None if np.isnan(v[7]) else float(v[7]),
-    )
+def _params_from_vec(cls, v: np.ndarray):
+    names = fields(cls)
+    if len(v) != len(names):
+        raise ValueError(f"{cls.__name__} needs {len(names)} values, got {len(v)}")
+    return cls(*(bool(x) if f.type == "bool" else None if "None" in f.type and np.isnan(x)
+                 else x for f, x in zip(names, v)))
 
 
 def network_to_arrays(net: Network) -> dict[str, np.ndarray]:
@@ -511,11 +496,11 @@ def network_to_arrays(net: Network) -> dict[str, np.ndarray]:
             [net.n_out, net.n_c, float(net.dec_inhib.scope == "all"), float(not net.lc_trained)]
         ),
         "inhibition": np.array([net.lc_inhib.w_inh, net.dec_inhib.w_inh]),
-        "encoder": np.array([net.encoder.f_max, net.encoder.intensity_max]),
-        "lc_neurons": _neuron_params_to_vec(net.lc_params),
-        "dec_neurons": _neuron_params_to_vec(net.dec_params),
-        "lc_plasticity": _plasticity_to_vec(net.lc_plasticity),
-        "dec_plasticity": _plasticity_to_vec(net.dec_plasticity),
+        "encoder": _params_to_vec(net.encoder),
+        "lc_neurons": _params_to_vec(net.lc_params),
+        "dec_neurons": _params_to_vec(net.dec_params),
+        "lc_plasticity": _params_to_vec(net.lc_plasticity),
+        "dec_plasticity": _params_to_vec(net.dec_plasticity),
         "lc_weights": net.lc_conn.weights,
         "dec_weights": net.dec_conn.weights,
         "lc_g": net.lc_g,
@@ -532,20 +517,19 @@ def network_from_arrays(arrays: dict[str, np.ndarray]) -> Network:
         lc_conn = LocalConnection(shape=shape, weights=arrays["lc_weights"].copy())
         dec_conn = DenseConnection(weights=arrays["dec_weights"].copy())
         w_inh_lc, w_inh_dec = arrays["inhibition"]
-        enc = arrays["encoder"]
         return Network(
-            encoder=EncoderParams(f_max=float(enc[0]), intensity_max=float(enc[1])),
-            lc_params=_neuron_params_from_vec(arrays["lc_neurons"]),
+            encoder=_params_from_vec(EncoderParams, arrays["encoder"]),
+            lc_params=_params_from_vec(NeuronParams, arrays["lc_neurons"]),
             lc_conn=lc_conn,
             lc_inhib=build_lc_inhibition(shape, float(w_inh_lc)),
-            dec_params=_neuron_params_from_vec(arrays["dec_neurons"]),
+            dec_params=_params_from_vec(NeuronParams, arrays["dec_neurons"]),
             dec_conn=dec_conn,
             dec_inhib=build_decoder_inhibition(
                 int(n_out), int(n_c), float(w_inh_dec), within_group=bool(within)
             ),
             n_c=int(n_c),
-            lc_plasticity=_plasticity_from_vec(arrays["lc_plasticity"]),
-            dec_plasticity=_plasticity_from_vec(arrays["dec_plasticity"]),
+            lc_plasticity=_params_from_vec(PlasticityParams, arrays["lc_plasticity"]),
+            dec_plasticity=_params_from_vec(PlasticityParams, arrays["dec_plasticity"]),
             lc_g=arrays["lc_g"].copy(),
             dec_g=arrays["dec_g"].copy(),
             lc_trained=not lc_untrained,

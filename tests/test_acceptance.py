@@ -29,7 +29,6 @@ from lcsnn.engine import (
     train_decoder,
     train_lc,
 )
-from lcsnn.neurons import NeuronParams
 from lcsnn.plasticity import (
     PlasticityParams,
     apply_rstdp,
@@ -56,12 +55,7 @@ SCHEDULE = PhaseSchedule(256, 256, 256)
 
 def desk_network(seed: int, n_out: int, n_c: int, ch_lc: int = 25, k: int = 13, s: int = 3):
     """The desk-scale configuration used by criteria 7 and 8."""
-    return build_network(
-        h_in=22, w_in=22, ch_lc=ch_lc, k=k, s=s, n_out=n_out, n_c=n_c, seed=seed,
-        dec_params=NeuronParams(adaptive=False, r_mem=8.0),
-        dec_plasticity=PlasticityParams(eta_pre=0.1, eta_post=0.1,
-                                        tau_plus=20.0, tau_minus=10.0),
-    )
+    return build_network(h_in=22, w_in=22, ch_lc=ch_lc, k=k, s=s, n_out=n_out, n_c=n_c, seed=seed)
 
 
 def layerwise(net, train, test, lc_samples: int, decoder_samples: int, seed: int,
@@ -284,12 +278,8 @@ def test_criterion_11_xor_composition(mnist_dir):
     def pipeline(seed: int) -> float:
         train = build_xor_mnist(train_src, 10000, sample_rng(seed, 6, 0))
         test = build_xor_mnist(test_src, 10000, sample_rng(seed, 6, 1))
-        net = build_network(
-            h_in=40, w_in=40, ch_lc=1000, k=32, s=4, n_out=1000, n_c=2, seed=seed,
-            dec_params=NeuronParams(adaptive=False, r_mem=8.0),
-            dec_plasticity=PlasticityParams(eta_pre=0.1, eta_post=0.1,
-                                            tau_plus=20.0, tau_minus=10.0),
-        )
+        net = build_network(h_in=40, w_in=40, ch_lc=1000, k=32, s=4, n_out=1000, n_c=2,
+                            seed=seed)
         return layerwise(net, train, test, 2000, 10000, seed)
 
     accs = [pipeline(seed) for seed in range(3)]

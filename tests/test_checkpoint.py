@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -89,6 +90,33 @@ def test_network_round_trip_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_file_bytes_are_pinned(tmp_path):
+    # any change to these bytes is a change of the checkpoint format
+    net = _toy_network()
+    net.lc_g[:] = np.linspace(0, 1, net.n_lc)
+    net.lc_trained = True
+    path = tmp_path / "net.blcn"
+    checkpoint_save(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ba24bdd6afbd623342eec08435a65f2b4fa01d7adab4f82fd444eb5d11f71a55"
+    )
+
+
+def test_build_network_defaults_are_the_config_defaults():
+    # perfbench builds its networks from these defaults, the CLI from the config
+    from lcsnn.cli import network_from_config
+    from lcsnn.config import resolve_config
+
+    cfg = resolve_config(None, ["ch_lc=25", "k=13", "s=3", "n_out=100", "n_c=2", "seed=1"])
+    want = network_to_arrays(network_from_config(cfg))
+    got = network_to_arrays(
+        build_network(h_in=22, w_in=22, ch_lc=25, k=13, s=3, n_out=100, n_c=2, seed=1)
+    )
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+
 def test_checkpoint_carries_everything_training_continuation_needs(tmp_path):
     from lcsnn.engine import PhaseSchedule, train_decoder, train_lc
     from lcsnn.neurons import NeuronParams
@@ -130,4 +158,8 @@ def test_inconsistent_shape_raises(tmp_path):
     arrays = network_to_arrays(net)
     arrays["lc_weights"] = arrays["lc_weights"][:, :, :, :2, :2].copy()
     with pytest.raises(CheckpointError):
+        network_from_arrays(arrays)
+    arrays = network_to_arrays(net)
+    arrays["lc_neurons"] = arrays["lc_neurons"][:-1]
+    with pytest.raises(CheckpointError, match="NeuronParams"):
         network_from_arrays(arrays)

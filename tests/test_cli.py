@@ -230,3 +230,69 @@ def test_convergence_log_closes_a_partial_window(fake_mnist_dir, tmp_path):
     assert float(norm) > 0.0
     summary = (out / "summary.csv").read_text().splitlines()[1]
     assert summary.endswith(f",final_window_weight_change,{norm}")
+
+
+def test_sweep_runs_take_the_config_file_and_every_flag(fake_mnist_dir, tmp_path, monkeypatch):
+    import lcsnn.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda cfg, train, test: (seen.append(cfg), None, 0.5))
+    path = tmp_path / "tiny.cfg"
+    path.write_text("\n".join(TINY[1::2]) + "\n")
+    assert _run(["sweep", "--config", path, "--eta-rpe", "static", "--data-dir", fake_mnist_dir,
+                 "--out", tmp_path / "runs", "--grid", "s=4,11", "--seeds", "1"]) == 0
+    assert [(c.ch_lc, c.lc_samples, c.reward_mode, c.s, c.seed) for c in seen] == [
+        (2, 4, "static", 4, 1), (2, 4, "static", 11, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", ["train-lc", "train-decoder", "eval", "conditioning", "svm", "xor", "sweep"]
+)
+def test_rejected_inputs_leave_no_run_directory(command, fake_mnist_dir, tmp_path):
+    trained = tmp_path / "trained"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", trained, "--seed", 3,
+                 *TINY]) == 0
+    ckpt = _only_run_dir(trained, "train-lc") / "network.blcn"
+    flag = {"eval": "--checkpoint", "train-decoder": "--lc-checkpoint",
+            "conditioning": "--lc-checkpoint", "svm": "--lc-checkpoint"}.get(command)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rejected = [["--data-dir", empty]]  # no dataset files
+    if flag:
+        rejected.append(["--data-dir", fake_mnist_dir, "--set", "n_out=8"])  # not the checkpoint's
+    if command == "sweep":
+        rejected.append(["--data-dir", fake_mnist_dir, "--grid", "k=11,50"])  # k=50 is too large
+    out = tmp_path / "runs"
+    for extra in rejected:
+        args = [command, "--out", out, "--seed", 3, *TINY, *extra]
+        assert _run([*args, flag, ckpt] if flag else args) != 0
+        assert not out.exists()
+
+
+def test_images_must_have_the_network_input_shape(fake_mnist_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, *TINY,
+                 "--set", "w_in=20"]) == 1
+    assert "w_in" in capsys.readouterr().err
+    # the two-digit canvases are 40x40
+    assert _run(["xor", "--data-dir", fake_mnist_dir, "--out", out, *TINY,
+                 "--set", "xor_train=8", "--set", "xor_test=8"]) == 1
+    assert "h_in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classes_must_fit_the_decoder_groups(fake_mnist_dir, tmp_path, capsys):
+    trained = tmp_path / "trained"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", trained, "--seed", 3,
+                 *TINY]) == 0
+    ckpt = _only_run_dir(trained, "train-lc") / "network.blcn"
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    for args in (["train-decoder", "--lc-checkpoint", ckpt], ["eval", "--checkpoint", ckpt],
+                 ["sweep"]):
+        assert _run([*args, "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3, *TINY,
+                     "--set", "classes=0,1,2"]) == 1
+        assert "classes" in capsys.readouterr().err
+    assert not out.exists()

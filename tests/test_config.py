@@ -96,6 +96,12 @@ def test_unparseable_value_names_the_key():
         ("tau_m=0", "tau_m"),
         ("u_reset=-10", "u_reset"),
         ("classes=a,b", "classes"),
+        ("stdp_eta_pre=-1", "stdp_eta_pre"),
+        ("stdp_eta_post=-0.5", "stdp_eta_post"),
+        ("rstdp_eta_pre=-1", "rstdp_eta_pre"),
+        ("rstdp_eta_post=-0.5", "rstdp_eta_post"),
+        ("intensity_max=0", "intensity_max"),
+        ("n_out=0", "n_out"),
     ],
 )
 def test_invariant_violations_name_their_key(override, key):

@@ -197,6 +197,25 @@ def test_adaptation_accumulates_across_training_samples():
     assert net.lc_g.max() > 0.0
 
 
+def test_image_must_match_the_network_input():
+    net = tiny_network()  # 8x8 input
+    for side in (7, 9):
+        with pytest.raises(EngineError, match="pixels"):
+            run_sample(net, bright_image(side), PhaseSchedule(4, 4, 4), sample_rng(0, 0, 0))
+
+
+def test_labels_must_fit_the_decoder_groups():
+    net = tiny_network()  # two groups
+    ds = make_blob_dataset(3, 8, 3, seed=0)
+    sched = PhaseSchedule(4, 4, 4)
+    with pytest.raises(EngineError, match="3 classes"):
+        train_decoder(net, ds, 3, sched, RewardState(), seed=0)
+    with pytest.raises(EngineError, match="3 classes"):
+        evaluate(net, ds, sched, seed=0)
+    # the conditioning protocol names its own targets, so the labels do not matter
+    train_decoder(net, ds, 3, sched, RewardState(), seed=0, target_for=lambda i: 1)
+
+
 # --- evaluation --------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcsnn.engine import PhaseSchedule, build_network, sample_rng
+from lcsnn.engine import EngineError, PhaseSchedule, build_network, sample_rng
 from lcsnn.neurons import NeuronParams
 from lcsnn.readout import (
     LinearModel,
@@ -25,6 +25,12 @@ def test_zero_image_gives_zero_features():
     counts = extract_features(feature_net(), np.zeros((8, 8)), SCHEDULE, sample_rng(0, 4, 0))
     assert counts.shape == (12,)
     assert (counts == 0).all()
+
+
+def test_image_must_match_the_network_input():
+    for side in (7, 9):
+        with pytest.raises(EngineError, match="pixels"):
+            extract_features(feature_net(), np.zeros((side, side)), SCHEDULE, sample_rng(0, 4, 0))
 
 
 def test_features_deterministic_and_bounded():
