@@ -33,7 +33,6 @@ from .topology import (
     build_decoder_inhibition,
     build_lc_inhibition,
     count_parameters,
-    lc_output_shape,
 )
 
 __version__ = "0.1.0"
@@ -75,6 +74,5 @@ __all__ = [
     "build_decoder_inhibition",
     "build_lc_inhibition",
     "count_parameters",
-    "lc_output_shape",
     "__version__",
 ]

@@ -108,6 +108,15 @@ def _check_classes(cfg: RunConfig, ds: datamod.Dataset) -> datamod.Dataset:
     return ds
 
 
+def _filter_classes(ds: datamod.Dataset, classes: list[int], key: str,
+                    relabel: bool = False) -> datamod.Dataset:
+    """``data.filter_classes``, with classes that match no sample blamed on ``key``."""
+    try:
+        return datamod.filter_classes(ds, classes, relabel=relabel)
+    except ValueError as e:
+        raise ConfigError(key, str(e)) from None
+
+
 def load_split(cfg: RunConfig, split: str) -> datamod.Dataset:
     """One MNIST split, center-cropped to ``h_in`` and restricted to ``classes``."""
     ds = datamod.load_mnist_split(data_root(cfg), split)
@@ -115,7 +124,7 @@ def load_split(cfg: RunConfig, split: str) -> datamod.Dataset:
         ds = datamod.center_crop(ds, target=cfg.h_in)
     classes = cfg.class_list()
     if classes is not None:
-        ds = datamod.filter_classes(ds, classes, relabel=True)
+        ds = _filter_classes(ds, classes, "classes", relabel=True)
     return _check_images(cfg, ds)
 
 
@@ -159,10 +168,8 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     checkpoint_save(net, run_dir / "network.blcn")
     monitors.write_convergence_csv(run_dir / "lc_convergence.csv", norms, cfg.metrics_window,
                                    cfg.lc_samples)
-    monitors.write_pgm(
-        run_dir / "lc_filters.pgm",
-        monitors.filter_grid_image(net.lc_conn, cfg.w_min, cfg.w_max, separators=True),
-    )
+    monitors.write_pgm(run_dir / "lc_filters.pgm",
+                       monitors.filter_grid_image(net.lc_conn, cfg.w_min, cfg.w_max))
     last = norms[-1] if norms else 0.0
     append_summary(cfg, "train-lc", run_dir, "final_window_weight_change", last)
     print(f"train-lc: {cfg.lc_samples} samples, final window weight change {last:.4f} -> {run_dir}")
@@ -184,7 +191,9 @@ def _check_matches_config(net: Network, cfg: RunConfig) -> Network:
 
 
 def _write_decoder_map(path: Path, net: Network, cfg: RunConfig) -> None:
-    monitors.write_pgm(path, monitors.dense_map_image(net.dec_conn, cfg.w_min, cfg.w_max))
+    """Decoder weights as an (n_pre, n_post) grayscale map."""
+    gray = monitors.weights_to_gray(net.dec_conn.weights, cfg.w_min, cfg.w_max)
+    monitors.write_pgm(path, gray)
 
 
 def _load_lc_checkpoint(path: str) -> Network:
@@ -206,7 +215,7 @@ def cmd_train_decoder(cfg: RunConfig, args) -> int:
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
     _write_decoder_map(run_dir / "decoder_weights.pgm", net, cfg)
-    final_acc = metrics.running_accuracy()[-1] if len(metrics) else 0.0
+    final_acc = metrics.reward_rate()[-1] if len(metrics) else 0.0
     append_summary(cfg, "train-decoder", run_dir, "final_running_accuracy", final_acc)
     print(
         f"train-decoder: {cfg.decoder_samples} samples, "
@@ -234,7 +243,7 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
     if cfg.n_c != 2:
         raise ConfigError("n_c", "the conditioning protocol uses two response groups")
     net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
-    stimuli = datamod.filter_classes(load_split(cfg, "train"), [cfg.stimulus_class])
+    stimuli = _filter_classes(load_split(cfg, "train"), [cfg.stimulus_class], "stimulus_class")
     run_dir = make_run_dir(cfg, "conditioning")
     _write_decoder_map(run_dir / "decoder_weights_initial.pgm", net, cfg)
     # task 1 rewards group 1; after the swap the rewarded response is group 0
@@ -281,11 +290,13 @@ def cmd_svm(cfg: RunConfig, args) -> int:
     net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
     train = load_split(cfg, "train")
     test = load_split(cfg, "test")
+    n_train = cfg.svm_train_samples or len(train)
+    if np.unique(train.labels[:n_train]).size < 2:
+        raise ConfigError("svm_train_samples", f"the first {n_train} training samples hold "
+                                               "fewer than two classes")
     run_dir = make_run_dir(cfg, "svm")
     schedule = schedule_from_config(cfg)
-    x_train, y_train = readout.extract_feature_matrix(
-        net, train, cfg.svm_train_samples, schedule, cfg.seed
-    )
+    x_train, y_train = readout.extract_feature_matrix(net, train, n_train, schedule, cfg.seed)
     x_test, y_test = readout.extract_feature_matrix(
         net, test, cfg.svm_test_samples or len(test), schedule, cfg.seed + 1
     )

@@ -82,7 +82,9 @@ class RunConfig:
     eta_rpe: float = 0.125
     alpha: float = 0.9
 
-    # sample budgets (0 = whole split where applicable)
+    # sample budgets: eval_samples, svm_train_samples and svm_test_samples
+    # read 0 as the whole split; lc_samples, decoder_samples and
+    # conditioning_iters count presentations, so 0 trains nothing
     lc_samples: int = 2000
     decoder_samples: int = 10000
     eval_samples: int = 0
@@ -162,6 +164,14 @@ class RunConfig:
             raise ConfigError("reward_mode", "must be 'static' or 'td'")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha", "must lie in [0, 1]")
+        for key in ("lc_samples", "decoder_samples", "eval_samples", "svm_train_samples",
+                    "svm_test_samples", "conditioning_iters", "swap_at", "xor_train", "xor_test"):
+            if getattr(self, key) < 0:
+                raise ConfigError(key, "sample counts must be non-negative")
+        if self.svm_epochs < 1:
+            raise ConfigError("svm_epochs", "must be at least 1")
+        if self.svm_l2 <= 0:
+            raise ConfigError("svm_l2", "must be positive")
         if self.metrics_window < 1:
             raise ConfigError("metrics_window", "must be at least 1")
         cl = self.class_list()
@@ -175,7 +185,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 def _parse_value(key: str, raw: str):
     field = _FIELDS[key]
     raw = raw.strip()
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -183,9 +193,9 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(key, f"expected a boolean, got {raw!r}")
     try:
-        if field.type in ("int", int):
+        if field.type == "int":
             return int(raw)
-        if field.type in ("float", float):
+        if field.type == "float":
             return float(raw)
     except ValueError:
         raise ConfigError(key, f"expected a {field.type}, got {raw!r}")

@@ -93,21 +93,6 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, h, w))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
-
-
 def load_idx(image_path: str | Path, label_path: str | Path, class_count: int = 10) -> Dataset:
     """Load a paired image/label file set, cross-checking sample counts."""
     images = read_idx_images(image_path)

@@ -435,7 +435,7 @@ def train_decoder(
             target=target,
             reward_state=reward_state,
         )
-        metrics.add(res.reward, res.modulation, res.reward > 0)
+        metrics.add(res.reward, res.modulation)
     return metrics
 
 

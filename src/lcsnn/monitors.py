@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .topology import DenseConnection, LocalConnection
+from .topology import LocalConnection
 
 DEFAULT_WINDOW = 100
 
@@ -36,22 +36,17 @@ class RunMetrics:
     window: int = DEFAULT_WINDOW
     rewards: list[float] = field(default_factory=list)
     modulations: list[float] = field(default_factory=list)
-    correct: list[bool] = field(default_factory=list)
 
-    def add(self, reward: float, modulation: float, correct: bool) -> None:
+    def add(self, reward: float, modulation: float) -> None:
         self.rewards.append(reward)
         self.modulations.append(modulation)
-        self.correct.append(correct)
 
     def __len__(self) -> int:
         return len(self.rewards)
 
-    def running_accuracy(self) -> np.ndarray:
-        return moving_average(np.asarray(self.correct, dtype=np.float64), self.window)
-
     def cumulative_accuracy(self) -> np.ndarray:
-        c = np.asarray(self.correct, dtype=np.float64)
-        return np.cumsum(c) / np.arange(1, c.shape[0] + 1)
+        hits = np.asarray(self.rewards, dtype=np.float64) > 0
+        return np.cumsum(hits, dtype=np.float64) / np.arange(1, hits.shape[0] + 1)
 
     def reward_rate(self) -> np.ndarray:
         hits = np.asarray(self.rewards, dtype=np.float64) > 0
@@ -62,7 +57,7 @@ class RunMetrics:
         return moving_average(misses, self.window)
 
     def write_metrics_csv(self, path: str | Path) -> None:
-        running = self.running_accuracy()
+        running = self.reward_rate()  # a decision is correct exactly when it is rewarded
         cumulative = self.cumulative_accuracy()
         with open(path, "w", newline="") as f:
             f.write("sample_index,reward,modulation,running_accuracy,cumulative_accuracy\n")
@@ -108,30 +103,17 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         f.write(image.tobytes())
 
 
-def filter_grid_image(
-    conn: LocalConnection,
-    w_min: float = 0.0,
-    w_max: float = 1.0,
-    separators: bool = False,
-) -> np.ndarray:
+def filter_grid_image(conn: LocalConnection, w_min: float = 0.0, w_max: float = 1.0) -> np.ndarray:
     """Tile every filter into one image: channels as row groups, receptive
-    fields as columns.  Optional 1-px white separator lines between tiles."""
+    fields as columns, with 1-px white separator lines between tiles."""
     sh = conn.shape
     k, ch, nloc = sh.k, sh.ch_out, sh.n_locations
-    gap = 1 if separators else 0
-    img = np.full(
-        (ch * k + (ch - 1) * gap, nloc * k + (nloc - 1) * gap), 255, dtype=np.uint8
-    )
+    img = np.full((ch * (k + 1) - 1, nloc * (k + 1) - 1), 255, dtype=np.uint8)
     tiles = weights_to_gray(conn.weights, w_min, w_max)
     for c in range(ch):
         for loc in range(nloc):
             r, s = divmod(loc, sh.w_out)
-            y = c * (k + gap)
-            x = loc * (k + gap)
+            y = c * (k + 1)
+            x = loc * (k + 1)
             img[y : y + k, x : x + k] = tiles[c, r, s]
     return img
-
-
-def dense_map_image(conn: DenseConnection, w_min: float = 0.0, w_max: float = 1.0) -> np.ndarray:
-    """Decoder weights as an (n_pre, n_post) grayscale map."""
-    return weights_to_gray(conn.weights, w_min, w_max)

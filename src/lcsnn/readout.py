@@ -131,22 +131,15 @@ def train_linear(
                        l2=l2, epochs=epochs, seed=seed)
 
 
-def decision_scores(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    x = (np.asarray(features, dtype=np.float64) - model.mean) * model.scale
-    return x @ model.weights.T + model.biases
-
-
-def predict(model: LinearModel, features: np.ndarray) -> np.ndarray | int:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape[-1] != model.weights.shape[1]:
-        raise ValueError(
-            f"feature length {feats.shape[-1]} does not match model ({model.weights.shape[1]})"
-        )
-    single = feats.ndim == 1
-    scores = decision_scores(model, feats.reshape(1, -1) if single else feats)
-    labels = np.argmax(scores, axis=1)
-    return int(labels[0]) if single else labels
+def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    """Argmax class per row of an (n, n_features) matrix; ties resolve to the
+    lowest class index."""
+    x = np.asarray(features, dtype=np.float64)
+    n_features = model.weights.shape[1]
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ValueError(f"expected features of shape (n, {n_features}), got {x.shape}")
+    x = (x - model.mean) * model.scale
+    return np.argmax(x @ model.weights.T + model.biases, axis=1)
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
@@ -160,20 +153,3 @@ def save_model(model: LinearModel, path: str | Path) -> None:
             "hyper": np.array([model.l2, float(model.epochs), float(model.seed)]),
         },
     )
-
-
-def load_model(path: str | Path) -> LinearModel:
-    arrays = ckpt.load_arrays(path)
-    try:
-        hyper = arrays["hyper"]
-        return LinearModel(
-            weights=arrays["weights"],
-            biases=arrays["biases"],
-            mean=arrays["mean"],
-            scale=arrays["scale"],
-            l2=float(hyper[0]),
-            epochs=int(hyper[1]),
-            seed=int(hyper[2]),
-        )
-    except KeyError as e:
-        raise ckpt.CheckpointError(f"model file is missing array {e.args[0]!r}") from e

@@ -17,32 +17,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def lc_output_shape(h_in: int, w_in: int, k: int, s: int) -> tuple[int, int]:
-    """Output lattice of a k/s tiling with no padding (floor arithmetic)."""
-    if s < 1:
-        raise ValueError(f"stride must be at least 1, got {s}")
-    if k > h_in or k > w_in:
-        raise ValueError(f"kernel {k} exceeds input extent ({h_in}, {w_in})")
-    return (h_in - k) // s + 1, (w_in - k) // s + 1
-
-
 @dataclass(frozen=True)
 class LcShape:
-    """Geometry of one local connection."""
+    """Geometry of one local connection over a single-channel input; the
+    output lattice is a k/s tiling with no padding (floor arithmetic)."""
 
     h_in: int
     w_in: int
     ch_out: int
     k: int
     s: int
-    ch_in: int = 1
 
     def __post_init__(self) -> None:
-        if self.ch_in != 1:
-            raise ValueError("only single-channel input is supported")
         if self.ch_out < 1:
             raise ValueError(f"ch_out must be at least 1, got {self.ch_out}")
-        lc_output_shape(self.h_in, self.w_in, self.k, self.s)  # validates k, s
+        if self.s < 1:
+            raise ValueError(f"stride must be at least 1, got {self.s}")
+        if self.k > self.h_in or self.k > self.w_in:
+            raise ValueError(f"kernel {self.k} exceeds input extent ({self.h_in}, {self.w_in})")
 
     @property
     def h_out(self) -> int:

@@ -1,4 +1,5 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +73,18 @@ def make_blob_dataset(n: int, side: int, n_classes: int, seed: int) -> datamod.D
         noise = rng.integers(0, 32, size=(side, side), dtype=np.uint8)
         images[i] = np.maximum(images[i], noise)
     return datamod.Dataset(images=images, labels=labels, class_count=n_classes)
+
+
+def write_idx_images(path: str | Path, images: np.ndarray) -> None:
+    images = np.ascontiguousarray(images, dtype=np.uint8)
+    n, h, w = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", datamod.IMAGE_MAGIC, n, h, w))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
+    labels = np.asarray(labels)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", datamod.LABEL_MAGIC, labels.shape[0]))
+        f.write(labels.astype(np.uint8).tobytes())

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from lcsnn.cli import main as cli_main
-from lcsnn.data import (
-    build_xor_mnist,
-    center_crop,
-    filter_classes,
-    write_idx_images,
-    write_idx_labels,
-)
+from lcsnn.data import build_xor_mnist, center_crop, filter_classes
 from lcsnn.encoding import EncoderParams, encode
 from lcsnn.engine import (
     PhaseSchedule,
@@ -42,7 +36,7 @@ from lcsnn.plasticity import (
 from lcsnn.readout import extract_feature_matrix, predict, train_linear
 from lcsnn.reward import RewardState
 from lcsnn.topology import LcShape, LocalConnection, count_parameters, make_dense_connection, make_local_connection
-from tests.conftest import make_blob_dataset
+from tests.conftest import make_blob_dataset, write_idx_images, write_idx_labels
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lcsnn.cli import main
-from lcsnn.data import write_idx_images, write_idx_labels
-from tests.conftest import make_blob_dataset
+from tests.conftest import make_blob_dataset, write_idx_images, write_idx_labels
 
 
 @pytest.fixture
@@ -72,7 +71,7 @@ def test_full_pipeline_through_the_cli(fake_mnist_dir, tmp_path):
     assert _run([
         "svm", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
         "--lc-checkpoint", lc_dir / "network.blcn", *TINY,
-        "--set", "svm_train_samples=20", "--set", "svm_epochs=2",
+        "--set", "svm_train_samples=0", "--set", "svm_epochs=2",  # 0: the whole split
     ]) == 0
 
     assert _run([
@@ -262,6 +261,12 @@ def test_rejected_inputs_leave_no_run_directory(command, fake_mnist_dir, tmp_pat
     rejected = [["--data-dir", empty]]  # no dataset files
     if flag:
         rejected.append(["--data-dir", fake_mnist_dir, "--set", "n_out=8"])  # not the checkpoint's
+    if command == "eval":
+        rejected.append(["--data-dir", fake_mnist_dir, "--set", "eval_samples=-3"])
+    if command == "svm":
+        for bad in ("svm_train_samples=-1", "svm_l2=0", "svm_epochs=0",
+                    "svm_train_samples=1"):  # one sample holds one class
+            rejected.append(["--data-dir", fake_mnist_dir, "--set", bad])
     if command == "sweep":
         rejected.append(["--data-dir", fake_mnist_dir, "--grid", "k=11,50"])  # k=50 is too large
     out = tmp_path / "runs"
@@ -295,4 +300,20 @@ def test_classes_must_fit_the_decoder_groups(fake_mnist_dir, tmp_path, capsys):
         assert _run([*args, "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3, *TINY,
                      "--set", "classes=0,1,2"]) == 1
         assert "classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classes_must_match_some_sample(fake_mnist_dir, tmp_path, capsys):
+    trained = tmp_path / "trained"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", trained, "--seed", 3,
+                 *TINY]) == 0
+    ckpt = _only_run_dir(trained, "train-lc") / "network.blcn"
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, *TINY,
+                 "--set", "classes=11"]) == 1
+    assert "classes" in capsys.readouterr().err
+    assert _run(["conditioning", "--data-dir", fake_mnist_dir, "--out", out, *TINY,
+                 "--lc-checkpoint", ckpt, "--set", "stimulus_class=11"]) == 1
+    assert "stimulus_class" in capsys.readouterr().err
     assert not out.exists()

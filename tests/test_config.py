@@ -102,6 +102,17 @@ def test_unparseable_value_names_the_key():
         ("rstdp_eta_post=-0.5", "rstdp_eta_post"),
         ("intensity_max=0", "intensity_max"),
         ("n_out=0", "n_out"),
+        ("lc_samples=-5", "lc_samples"),
+        ("decoder_samples=-1", "decoder_samples"),
+        ("eval_samples=-3", "eval_samples"),
+        ("svm_train_samples=-1", "svm_train_samples"),
+        ("svm_test_samples=-1", "svm_test_samples"),
+        ("conditioning_iters=-2", "conditioning_iters"),
+        ("swap_at=-1", "swap_at"),
+        ("xor_train=-4", "xor_train"),
+        ("xor_test=-4", "xor_test"),
+        ("svm_epochs=0", "svm_epochs"),
+        ("svm_l2=0", "svm_l2"),
     ],
 )
 def test_invariant_violations_name_their_key(override, key):

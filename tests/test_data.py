@@ -14,9 +14,8 @@ from lcsnn.data import (
     filter_classes,
     load_idx,
     read_idx_images,
-    write_idx_images,
-    write_idx_labels,
 )
+from tests.conftest import write_idx_images, write_idx_labels
 
 
 @pytest.fixture

@@ -3,13 +3,12 @@ import pytest
 
 from lcsnn.monitors import (
     RunMetrics,
-    dense_map_image,
     filter_grid_image,
     moving_average,
     weights_to_gray,
     write_pgm,
 )
-from lcsnn.topology import DenseConnection, LcShape, LocalConnection
+from lcsnn.topology import LcShape, LocalConnection
 
 
 def test_moving_average_warmup_and_window():
@@ -22,8 +21,7 @@ def test_moving_average_warmup_and_window():
 def test_constant_correct_stream_has_unit_running_accuracy():
     metrics = RunMetrics(window=10)
     for _ in range(50):
-        metrics.add(reward=1.0, modulation=0.1, correct=True)
-    assert (metrics.running_accuracy() == 1.0).all()
+        metrics.add(reward=1.0, modulation=0.1)
     assert (metrics.cumulative_accuracy() == 1.0).all()
     assert (metrics.reward_rate() == 1.0).all()
     assert (metrics.punishment_rate() == 0.0).all()
@@ -34,15 +32,15 @@ def test_reward_and_punishment_rates_are_complementary():
     metrics = RunMetrics(window=7)
     for _ in range(40):
         r = 1.0 if rng.random() < 0.5 else -1.0
-        metrics.add(reward=r, modulation=0.0, correct=r > 0)
+        metrics.add(reward=r, modulation=0.0)
     total = metrics.reward_rate() + metrics.punishment_rate()
     assert np.allclose(total, 1.0)
 
 
 def test_metrics_csv_schema(tmp_path):
     metrics = RunMetrics(window=2)
-    metrics.add(1.0, 0.125, True)
-    metrics.add(-1.0, -0.1, False)
+    metrics.add(1.0, 0.125)
+    metrics.add(-1.0, -0.1)
     path = tmp_path / "metrics.csv"
     metrics.write_metrics_csv(path)
     lines = path.read_text().splitlines()
@@ -55,28 +53,23 @@ def test_gray_mapping_is_linear_and_clipped():
     gray = weights_to_gray(np.array([0.0, 0.5, 1.0, 1.2, -0.1]))
     assert gray.tolist() == [0, 128, 255, 255, 0]
     assert gray.dtype == np.uint8
+    # a decoder weight matrix maps to an (n_pre, n_post) image
+    assert weights_to_gray(np.random.default_rng(1).random((6, 4))).shape == (6, 4)
 
 
 def test_filter_grid_layout():
     # 4 channels, 3x3 kernels, 2x2 receptive fields: 4 row groups of height 3
-    # by 4 tiles of width 3
+    # by 4 tiles of width 3, with a 1-px separator between neighbours
     shape = LcShape(h_in=5, w_in=5, ch_out=4, k=3, s=2)
     conn = LocalConnection(shape=shape, weights=np.random.default_rng(0).random(
         (4, 2, 2, 3, 3)))
     img = filter_grid_image(conn)
-    assert img.shape == (12, 12)
-    # tile (channel 2, field (1, 0)) sits at rows 6:9, cols 6:9
+    assert img.shape == (4 * 3 + 3, 4 * 3 + 3)
+    # tile (channel 2, field (1, 0)) sits at rows 8:11, cols 8:11
     expected = weights_to_gray(conn.weights[2, 1, 0])
-    assert (img[6:9, 6:9] == expected).all()
-    with_seps = filter_grid_image(conn, separators=True)
-    assert with_seps.shape == (4 * 3 + 3, 4 * 3 + 3)
-    assert (with_seps[3, :] == 255).all()  # separator line
-
-
-def test_dense_map_shape():
-    conn = DenseConnection(weights=np.random.default_rng(1).random((6, 4)))
-    img = dense_map_image(conn)
-    assert img.shape == (6, 4)
+    assert (img[8:11, 8:11] == expected).all()
+    assert (img[3, :] == 255).all()  # separator lines
+    assert (img[:, 3] == 255).all()
 
 
 def test_pgm_writer(tmp_path):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from lcsnn.checkpoint import load_arrays
 from lcsnn.engine import EngineError, PhaseSchedule, build_network, sample_rng
 from lcsnn.neurons import NeuronParams
 from lcsnn.readout import (
     LinearModel,
     extract_features,
-    load_model,
     predict,
     save_model,
     train_linear,
@@ -101,14 +101,15 @@ def test_duplicated_data_learns_the_same_decision_function():
 def test_predict_tie_breaking_and_shapes():
     model = LinearModel(weights=np.zeros((3, 2)), biases=np.zeros(3),
                         mean=np.zeros(2), scale=np.ones(2), l2=0.0, epochs=0, seed=0)
-    assert predict(model, np.zeros(2)) == 0  # all scores tie: lowest class wins
+    assert predict(model, np.zeros((1, 2))).tolist() == [0]  # all scores tie: lowest class wins
     model.biases = np.array([0.2, 0.9, 0.1])
-    assert predict(model, np.zeros(2)) == 1
+    assert predict(model, np.zeros((1, 2))).tolist() == [1]
     eye = LinearModel(weights=np.eye(3), biases=np.zeros(3),
                       mean=np.zeros(3), scale=np.ones(3), l2=0.0, epochs=0, seed=0)
     assert predict(eye, np.eye(3)).tolist() == [0, 1, 2]
-    with pytest.raises(ValueError):
-        predict(eye, np.zeros(5))
+    for bad in (np.zeros((1, 5)), np.zeros(3)):  # wrong width; a vector, not a matrix
+        with pytest.raises(ValueError):
+            predict(eye, bad)
 
 
 def test_single_class_data_rejected():
@@ -129,9 +130,9 @@ def test_model_round_trip(tmp_path):
     model = train_linear(x, y, epochs=3, seed=1)
     path = tmp_path / "model.blcn"
     save_model(model, path)
-    back = load_model(path)
-    assert (back.weights == model.weights).all()
-    assert (back.biases == model.biases).all()
-    assert (back.mean == model.mean).all()
-    assert (back.scale == model.scale).all()
-    assert (back.l2, back.epochs, back.seed) == (model.l2, model.epochs, model.seed)
+    back = load_arrays(path)
+    assert (back["weights"] == model.weights).all()
+    assert (back["biases"] == model.biases).all()
+    assert (back["mean"] == model.mean).all()
+    assert (back["scale"] == model.scale).all()
+    assert back["hyper"].tolist() == [model.l2, model.epochs, model.seed]

@@ -11,7 +11,6 @@ from lcsnn.topology import (
     build_decoder_inhibition,
     build_lc_inhibition,
     count_parameters,
-    lc_output_shape,
     make_dense_connection,
     make_local_connection,
 )
@@ -31,13 +30,13 @@ def pair_count(mask: InhibitionMask) -> int:
 
 
 def test_output_shape_arithmetic():
-    assert lc_output_shape(22, 22, 15, 4) == (2, 2)
-    assert lc_output_shape(22, 22, 13, 3) == (4, 4)
-    assert lc_output_shape(9, 9, 9, 3) == (1, 1)
+    for h_in, k, s, side in ((22, 15, 4, 2), (22, 13, 3, 4), (9, 9, 3, 1)):
+        sh = LcShape(h_in=h_in, w_in=h_in, ch_out=1, k=k, s=s)
+        assert (sh.h_out, sh.w_out) == (side, side)
     with pytest.raises(ValueError):
-        lc_output_shape(10, 10, 11, 1)
+        LcShape(h_in=10, w_in=10, ch_out=1, k=11, s=1)
     with pytest.raises(ValueError):
-        lc_output_shape(10, 10, 3, 0)
+        LcShape(h_in=10, w_in=10, ch_out=1, k=3, s=0)
 
 
 def test_shape_accounting():
@@ -46,7 +45,7 @@ def test_shape_accounting():
     assert sh.n_pre == 484
     assert sh.n_post == 400
     with pytest.raises(ValueError):
-        LcShape(h_in=22, w_in=22, ch_out=100, k=15, s=4, ch_in=3)
+        LcShape(h_in=22, w_in=22, ch_out=0, k=15, s=4)
 
 
 def test_weight_count_matches_shape():
