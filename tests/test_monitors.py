@@ -8,7 +8,7 @@ from lcsnn.monitors import (
     weights_to_gray,
     write_pgm,
 )
-from lcsnn.topology import LcShape, LocalConnection
+from lcsnn.topology import DenseConnection, LcShape, LocalConnection
 
 
 def test_moving_average_warmup_and_window():
@@ -53,8 +53,6 @@ def test_gray_mapping_is_linear_and_clipped():
     gray = weights_to_gray(np.array([0.0, 0.5, 1.0, 1.2, -0.1]))
     assert gray.tolist() == [0, 128, 255, 255, 0]
     assert gray.dtype == np.uint8
-    # a decoder weight matrix maps to an (n_pre, n_post) image
-    assert weights_to_gray(np.random.default_rng(1).random((6, 4))).shape == (6, 4)
 
 
 def test_filter_grid_layout():
@@ -70,6 +68,13 @@ def test_filter_grid_layout():
     assert (img[8:11, 8:11] == expected).all()
     assert (img[3, :] == 255).all()  # separator lines
     assert (img[:, 3] == 255).all()
+
+
+def test_dense_map_shape():
+    # decoder weights map to an (n_pre, n_post) image, as the decoder map is written
+    conn = DenseConnection(weights=np.random.default_rng(1).random((6, 4)))
+    img = weights_to_gray(conn.weights, 0.0, 1.0)
+    assert img.shape == (conn.n_pre, conn.n_post) == (6, 4)
 
 
 def test_pgm_writer(tmp_path):
