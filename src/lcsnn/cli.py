@@ -30,23 +30,17 @@ import numpy as np
 from . import data as datamod
 from . import monitors, readout
 from .checkpoint import CheckpointError
-from .config import ConfigError, RunConfig, config_to_text, resolve_config
-from .encoding import EncoderParams
+from .config import ConfigError, RunConfig, config_to_text, parameter_table, resolve_config
 from .engine import (
     EngineError,
     Network,
-    PhaseSchedule,
     build_network,
     checkpoint_load,
     checkpoint_save,
     evaluate,
-    network_to_arrays,
     train_decoder,
     train_lc,
 )
-from .neurons import NeuronParams
-from .plasticity import PlasticityParams
-from .reward import RewardState
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,35 +49,11 @@ EXIT_INTERNAL = 3
 
 
 def network_from_config(cfg: RunConfig) -> Network:
-    """The one map from configuration keys to the network's parameter objects."""
-    neuron = dict(u_rest=cfg.u_rest, u_reset=cfg.u_reset, u_thr0=cfg.u_thr0, tau_m=cfg.tau_m,
-                  delta_t_ref=cfg.delta_t_ref, g0=cfg.g0, tau_g=cfg.tau_g)
-    bounds = dict(gamma=cfg.gamma, w_min=cfg.w_min, w_max=cfg.w_max)
-    return build_network(
-        h_in=cfg.h_in, w_in=cfg.w_in, ch_lc=cfg.ch_lc, k=cfg.k, s=cfg.s,
-        n_out=cfg.n_out, n_c=cfg.n_c, seed=cfg.seed,
-        encoder=EncoderParams(f_max=cfg.f_max, intensity_max=cfg.intensity_max),
-        lc_params=NeuronParams(r_mem=cfg.r_mem, adaptive=cfg.lc_adaptive, **neuron),
-        dec_params=NeuronParams(r_mem=cfg.dec_r_mem, adaptive=cfg.dec_adaptive, **neuron),
-        lc_plasticity=PlasticityParams(
-            eta_pre=cfg.stdp_eta_pre, eta_post=cfg.stdp_eta_post, tau_plus=cfg.tau_plus,
-            tau_minus=cfg.tau_minus, c_norm=cfg.c_norm, **bounds,
-        ),
-        dec_plasticity=PlasticityParams(
-            eta_pre=cfg.rstdp_eta_pre, eta_post=cfg.rstdp_eta_post, tau_plus=cfg.dec_tau_plus,
-            tau_minus=cfg.dec_tau_minus, **bounds,
-        ),
-        w_inh=cfg.w_inh,
-        dec_within_group=cfg.dec_within_group_inhibition,
-    )
-
-
-def schedule_from_config(cfg: RunConfig) -> PhaseSchedule:
-    return PhaseSchedule(cfg.t_adapt, cfg.t_dec, cfg.t_learn, cfg.dt)
-
-
-def reward_state_from_config(cfg: RunConfig) -> RewardState:
-    return RewardState(mode=cfg.reward_mode, eta_rpe=cfg.eta_rpe, alpha=cfg.alpha)
+    """The network the configuration describes, with fresh random weights."""
+    p = cfg.parameters()
+    return build_network(**p.network, encoder=p.encoder, lc_params=p.lc_params,
+                         dec_params=p.dec_params, lc_plasticity=p.lc_plasticity,
+                         dec_plasticity=p.dec_plasticity)
 
 
 def data_root(cfg: RunConfig) -> Path:
@@ -98,6 +68,9 @@ def _check_images(cfg: RunConfig, ds: datamod.Dataset) -> datamod.Dataset:
     if (h, w) != (cfg.h_in, cfg.w_in):
         raise ConfigError("h_in" if h != cfg.h_in else "w_in",
                           f"the images are {h}x{w} but the network takes {cfg.h_in}x{cfg.w_in}")
+    brightest = ds.images.max(initial=0)
+    if brightest > cfg.intensity_max:
+        raise ConfigError("intensity_max", f"the brightest pixel is {brightest}")
     return ds
 
 
@@ -149,13 +122,11 @@ def append_summary(cfg: RunConfig, command: str, run_dir: Path, metric: str, val
 def run_pipeline(cfg: RunConfig, train, test) -> tuple[Network, monitors.RunMetrics, float]:
     """Layer-wise training then evaluation: feature layer, decoder, test accuracy."""
     net = network_from_config(cfg)
-    schedule = schedule_from_config(cfg)
-    train_lc(net, train, cfg.lc_samples, schedule, cfg.seed, window=cfg.metrics_window)
-    metrics = train_decoder(
-        net, train, cfg.decoder_samples, schedule, reward_state_from_config(cfg),
-        cfg.seed, window=cfg.metrics_window,
-    )
-    accuracy, _ = evaluate(net, test, schedule, cfg.seed, n_samples=cfg.eval_samples or None)
+    p = cfg.parameters()
+    train_lc(net, train, cfg.lc_samples, p.schedule, cfg.seed, window=cfg.metrics_window)
+    metrics = train_decoder(net, train, cfg.decoder_samples, p.schedule, p.reward_state,
+                            cfg.seed, window=cfg.metrics_window)
+    accuracy, _ = evaluate(net, test, p.schedule, cfg.seed, n_samples=cfg.eval_samples or None)
     return net, metrics, accuracy
 
 
@@ -163,7 +134,7 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
     ds = load_split(cfg, "train")
     net = network_from_config(cfg)
     run_dir = make_run_dir(cfg, "train-lc")
-    norms = train_lc(net, ds, cfg.lc_samples, schedule_from_config(cfg), cfg.seed,
+    norms = train_lc(net, ds, cfg.lc_samples, cfg.parameters().schedule, cfg.seed,
                      window=cfg.metrics_window)
     checkpoint_save(net, run_dir / "network.blcn")
     monitors.write_convergence_csv(run_dir / "lc_convergence.csv", norms, cfg.metrics_window,
@@ -177,16 +148,16 @@ def cmd_train_lc(cfg: RunConfig, args) -> int:
 
 
 def _check_matches_config(net: Network, cfg: RunConfig) -> Network:
-    """Reject a loaded network whose non-weight arrays differ from the config's."""
-    ref = network_from_config(cfg)
-    ref.lc_trained = net.lc_trained  # training state, not configuration
-    got = network_to_arrays(net)
-    for name, want in network_to_arrays(ref).items():
-        if name.endswith(("_weights", "_g")):
-            continue  # learned state, not configuration
-        if not np.array_equal(got[name], want, equal_nan=True):
-            raise ConfigError(name, f"checkpoint holds {got[name].tolist()} but the "
-                                    f"configuration gives {want.tolist()}")
+    """Reject a loaded network that holds another value for a configuration key."""
+    for _, held, args in parameter_table().values():
+        if held is None:
+            continue
+        obj = held(net)
+        for arg, key in args.items():
+            have, want = getattr(obj, arg), getattr(cfg, key)
+            if have != want:
+                raise ConfigError(key, f"checkpoint holds {have} but the configuration "
+                                       f"gives {want}")
     return net
 
 
@@ -207,10 +178,9 @@ def cmd_train_decoder(cfg: RunConfig, args) -> int:
     net = _check_matches_config(_load_lc_checkpoint(args.lc_checkpoint), cfg)
     ds = _check_classes(cfg, load_split(cfg, "train"))
     run_dir = make_run_dir(cfg, "train-decoder")
-    metrics = train_decoder(
-        net, ds, cfg.decoder_samples, schedule_from_config(cfg),
-        reward_state_from_config(cfg), cfg.seed, window=cfg.metrics_window,
-    )
+    p = cfg.parameters()
+    metrics = train_decoder(net, ds, cfg.decoder_samples, p.schedule, p.reward_state, cfg.seed,
+                            window=cfg.metrics_window)
     checkpoint_save(net, run_dir / "network.blcn")
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
@@ -229,7 +199,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ds = _check_classes(cfg, load_split(cfg, "test"))
     run_dir = make_run_dir(cfg, "eval")
     n = cfg.eval_samples or None
-    accuracy, decisions = evaluate(net, ds, schedule_from_config(cfg), cfg.seed, n_samples=n)
+    accuracy, decisions = evaluate(net, ds, cfg.parameters().schedule, cfg.seed, n_samples=n)
     with open(run_dir / "decisions.csv", "w", newline="") as f:
         f.write("sample_index,decision,label\n")
         for i, d in enumerate(decisions):
@@ -248,10 +218,10 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
     _write_decoder_map(run_dir / "decoder_weights_initial.pgm", net, cfg)
     # task 1 rewards group 1; after the swap the rewarded response is group 0
     target_for = lambda i: 1 if i < cfg.swap_at else 0
+    p = cfg.parameters()
     metrics = train_decoder(
-        net, stimuli, cfg.conditioning_iters, schedule_from_config(cfg),
-        reward_state_from_config(cfg), cfg.seed, target_for=target_for,
-        window=cfg.metrics_window,
+        net, stimuli, cfg.conditioning_iters, p.schedule, p.reward_state, cfg.seed,
+        target_for=target_for, window=cfg.metrics_window,
     )
     metrics.write_metrics_csv(run_dir / "metrics.csv")
     metrics.write_rates_csv(run_dir / "rates.csv")
@@ -295,7 +265,7 @@ def cmd_svm(cfg: RunConfig, args) -> int:
         raise ConfigError("svm_train_samples", f"the first {n_train} training samples hold "
                                                "fewer than two classes")
     run_dir = make_run_dir(cfg, "svm")
-    schedule = schedule_from_config(cfg)
+    schedule = cfg.parameters().schedule
     x_train, y_train = readout.extract_feature_matrix(net, train, n_train, schedule, cfg.seed)
     x_test, y_test = readout.extract_feature_matrix(
         net, test, cfg.svm_test_samples or len(test), schedule, cfg.seed + 1
@@ -418,7 +388,10 @@ def _resolve(args) -> RunConfig:
         overrides.append(f"out_dir={args.out}")
     if args.eta_rpe is not None:
         overrides.append(f"eta_rpe={args.eta_rpe}")
-    return resolve_config(args.config, overrides)
+    cfg = resolve_config(args.config, overrides)
+    if args.command in ("train-decoder", "eval", "conditioning", "xor", "sweep") and cfg.t_dec < 1:
+        raise ConfigError("t_dec", "a group-vote decision needs at least one decision tick")
+    return cfg
 
 
 def main(argv=None) -> int:

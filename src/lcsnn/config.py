@@ -11,16 +11,20 @@ prediction-error rate.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 
 class ConfigError(ValueError):
     """Invalid configuration; ``key`` names the offending entry."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
         self.key = key
+        self.reason = reason
 
 
 @dataclass
@@ -119,55 +123,18 @@ class RunConfig:
             raise ConfigError("classes", f"expected comma-separated integers, got {self.classes!r}")
 
     def validate(self) -> None:
+        """The checks no parameter class owns, then those of every class."""
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
-        if self.dt <= 0:
-            raise ConfigError("dt", "must be positive")
-        if self.tau_m <= 0:
-            raise ConfigError("tau_m", "must be positive")
-        if self.tau_g <= 0:
-            raise ConfigError("tau_g", "must be positive")
-        if min(self.tau_plus, self.tau_minus, self.dec_tau_plus, self.dec_tau_minus) <= 0:
-            raise ConfigError("tau_plus", "trace time constants must be positive")
-        if self.delta_t_ref < 0:
-            raise ConfigError("delta_t_ref", "must be non-negative")
-        if self.g0 < 0:
-            raise ConfigError("g0", "must be non-negative")
-        if self.u_reset > self.u_thr0:
-            raise ConfigError("u_reset", "must not exceed u_thr0")
-        if self.f_max <= 0 or self.f_max * self.dt / 1000.0 > 1.0:
-            raise ConfigError("f_max", "per-tick spike probability must lie in (0, 1]")
-        if self.intensity_max <= 0:
-            raise ConfigError("intensity_max", "must be positive")
-        if self.k > min(self.h_in, self.w_in):
-            raise ConfigError("k", f"kernel exceeds input extent ({self.h_in}, {self.w_in})")
-        if self.s < 1:
-            raise ConfigError("s", "stride must be at least 1")
-        if self.ch_lc < 1:
-            raise ConfigError("ch_lc", "must be at least 1")
-        if self.n_out < 1:
-            raise ConfigError("n_out", "must be at least 1")
-        if self.n_c < 1 or self.n_out % self.n_c != 0:
-            raise ConfigError("n_c", f"must divide n_out ({self.n_out})")
-        if self.w_inh >= 0:
-            raise ConfigError("w_inh", "must be negative")
-        if not (self.w_min < self.c_norm < self.w_max):
-            raise ConfigError("c_norm", f"must lie inside ({self.w_min}, {self.w_max})")
-        for key in ("stdp_eta_pre", "stdp_eta_post", "rstdp_eta_pre", "rstdp_eta_post"):
-            if getattr(self, key) < 0:
-                raise ConfigError(key, "learning rates must be non-negative")
-        if self.w_min >= self.w_max:
-            raise ConfigError("w_min", "must be below w_max")
-        if min(self.t_adapt, self.t_dec, self.t_learn) < 0:
-            raise ConfigError("t_adapt", "phase durations must be non-negative")
-        if self.reward_mode not in ("static", "td"):
-            raise ConfigError("reward_mode", "must be 'static' or 'td'")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha", "must lie in [0, 1]")
+        if self.f_max * self.dt / 1000.0 > 1.0:
+            raise ConfigError("f_max", "per-tick spike probability f_max * dt / 1000 exceeds 1")
         for key in ("lc_samples", "decoder_samples", "eval_samples", "svm_train_samples",
-                    "svm_test_samples", "conditioning_iters", "swap_at", "xor_train", "xor_test"):
+                    "svm_test_samples", "conditioning_iters", "swap_at"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, "sample counts must be non-negative")
+        for key in ("xor_train", "xor_test"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, "the two-digit set needs at least one sample")
         if self.svm_epochs < 1:
             raise ConfigError("svm_epochs", "must be at least 1")
         if self.svm_l2 <= 0:
@@ -177,6 +144,63 @@ class RunConfig:
         cl = self.class_list()
         if cl is not None and len(cl) < 1:
             raise ConfigError("classes", "must name at least one class")
+        self.parameters()
+
+    def parameters(self) -> SimpleNamespace:
+        """Every object of ``parameter_table``, built and checked by its class."""
+        built = {}
+        for name, (make, _, args) in parameter_table().items():
+            if make is None:
+                continue
+            try:
+                built[name] = make(**{arg: getattr(self, key) for arg, key in args.items()})
+            except ConfigError as e:
+                raise ConfigError(args.get(e.key, e.key), e.reason) from None
+        return SimpleNamespace(**built)
+
+
+def parameter_table() -> dict[str, tuple]:
+    """The one map from keys to objects, ``name: (make, held, args)``: ``make``
+    builds and checks it (None: only compared), ``held`` reads its arguments
+    back from a ``Network`` (None: not held), and ``args`` gives each one's key.
+    ``network`` is ``build_network``'s own arguments, checked as ``lc_shape``
+    and ``dec_inhibition``."""
+    # imported here, as these modules import ConfigError from this one
+    from .encoding import EncoderParams
+    from .engine import PhaseSchedule
+    from .neurons import NeuronParams
+    from .plasticity import PlasticityParams
+    from .reward import RewardState
+    from .topology import LcShape, build_decoder_inhibition
+
+    same = lambda *keys: {key: key for key in keys}
+    neuron = same("u_rest", "u_reset", "u_thr0", "tau_m", "delta_t_ref", "g0", "tau_g")
+    bounds = same("gamma", "w_min", "w_max")
+    return {
+        "lc_shape": (LcShape, attrgetter("lc_conn.shape"),
+                     {**same("h_in", "w_in", "k", "s"), "ch_out": "ch_lc"}),
+        "dec_inhibition": (build_decoder_inhibition, lambda net: SimpleNamespace(
+            n_out=net.n_out, n_c=net.n_c, w_inh=net.dec_inhib.w_inh,
+            within_group=net.dec_inhib.scope == "all"),
+            {**same("n_out", "n_c", "w_inh"), "within_group": "dec_within_group_inhibition"}),
+        "lc_inhibition": (None, attrgetter("lc_inhib"), same("w_inh")),
+        "network": (dict, None, {**same("h_in", "w_in", "ch_lc", "k", "s", "n_out", "n_c", "seed",
+                                         "w_inh"),
+                                 "dec_within_group": "dec_within_group_inhibition"}),
+        "encoder": (EncoderParams, attrgetter("encoder"), same("f_max", "intensity_max")),
+        "lc_params": (NeuronParams, attrgetter("lc_params"),
+                      {**neuron, "r_mem": "r_mem", "adaptive": "lc_adaptive"}),
+        "dec_params": (NeuronParams, attrgetter("dec_params"),
+                       {**neuron, "r_mem": "dec_r_mem", "adaptive": "dec_adaptive"}),
+        "lc_plasticity": (PlasticityParams, attrgetter("lc_plasticity"),
+                          {"eta_pre": "stdp_eta_pre", "eta_post": "stdp_eta_post",
+                           **same("tau_plus", "tau_minus", "c_norm"), **bounds}),
+        "dec_plasticity": (PlasticityParams, attrgetter("dec_plasticity"),
+                           {"eta_pre": "rstdp_eta_pre", "eta_post": "rstdp_eta_post",
+                            "tau_plus": "dec_tau_plus", "tau_minus": "dec_tau_minus", **bounds}),
+        "schedule": (PhaseSchedule, None, same("t_adapt", "t_dec", "t_learn", "dt")),
+        "reward_state": (RewardState, None, {"mode": "reward_mode", **same("eta_rpe", "alpha")}),
+    }
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -196,7 +220,10 @@ def _parse_value(key: str, raw: str):
         if field.type == "int":
             return int(raw)
         if field.type == "float":
-            return float(raw)
+            value = float(raw)
+            if math.isnan(value):  # passes every range check, and never equals itself
+                raise ValueError(raw)
+            return value
     except ValueError:
         raise ConfigError(key, f"expected a {field.type}, got {raw!r}")
     return raw

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
+
 
 @dataclass(frozen=True)
 class EncoderParams:
@@ -21,9 +23,9 @@ class EncoderParams:
 
     def __post_init__(self) -> None:
         if self.f_max <= 0.0:
-            raise ValueError(f"f_max must be positive, got {self.f_max}")
+            raise ConfigError("f_max", f"must be positive, got {self.f_max}")
         if self.intensity_max <= 0.0:
-            raise ValueError(f"intensity_max must be positive, got {self.intensity_max}")
+            raise ConfigError("intensity_max", f"must be positive, got {self.intensity_max}")
 
 
 def spike_probabilities(image: np.ndarray, params: EncoderParams, dt: float) -> np.ndarray:

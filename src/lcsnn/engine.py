@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .config import ConfigError
 from .encoding import EncoderParams, encode
 from .monitors import RunMetrics
 from .neurons import NeuronParams, make_state, step
@@ -114,10 +115,11 @@ class PhaseSchedule:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_adapt < 0 or self.t_dec < 0 or self.t_learn < 0:
-            raise ValueError("phase durations must be non-negative")
+        for name in ("t_adapt", "t_dec", "t_learn"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "phase durations must be non-negative")
         if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ConfigError("dt", f"must be positive, got {self.dt}")
 
     @property
     def total(self) -> int:

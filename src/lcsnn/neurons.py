@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
+
 
 @dataclass(frozen=True)
 class NeuronParams:
@@ -47,18 +49,16 @@ class NeuronParams:
 
     def __post_init__(self) -> None:
         if self.tau_m <= 0.0:
-            raise ValueError(f"tau_m must be positive, got {self.tau_m}")
+            raise ConfigError("tau_m", f"must be positive, got {self.tau_m}")
         if self.tau_g <= 0.0:
-            raise ValueError(f"tau_g must be positive, got {self.tau_g}")
+            raise ConfigError("tau_g", f"must be positive, got {self.tau_g}")
         if self.delta_t_ref < 0.0:
-            raise ValueError(f"delta_t_ref must be non-negative, got {self.delta_t_ref}")
+            raise ConfigError("delta_t_ref", f"must be non-negative, got {self.delta_t_ref}")
         if self.g0 < 0.0:
-            raise ValueError(f"g0 must be non-negative, got {self.g0}")
+            raise ConfigError("g0", f"must be non-negative, got {self.g0}")
         if self.u_reset > self.u_thr0:
-            raise ValueError(
-                f"u_reset ({self.u_reset}) above u_thr0 ({self.u_thr0}) "
-                "would make the neuron fire unconditionally"
-            )
+            raise ConfigError("u_reset", f"{self.u_reset} above u_thr0 ({self.u_thr0}) would "
+                                         "make the neuron fire unconditionally")
 
     def refractory_steps(self, dt: float) -> int:
         return int(math.ceil(self.delta_t_ref / dt))

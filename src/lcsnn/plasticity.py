@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .topology import LocalConnection
 
 
@@ -48,13 +49,15 @@ class PlasticityParams:
 
     def __post_init__(self) -> None:
         if self.eta_pre < 0.0 or self.eta_post < 0.0:
-            raise ValueError("learning rates must be non-negative")
+            raise ConfigError("eta_pre" if self.eta_pre < 0.0 else "eta_post",
+                              "learning rates must be non-negative")
         if self.tau_plus <= 0.0 or self.tau_minus <= 0.0:
-            raise ValueError("trace time constants must be positive")
+            raise ConfigError("tau_plus" if self.tau_plus <= 0.0 else "tau_minus",
+                              "trace time constants must be positive")
         if self.w_min >= self.w_max:
-            raise ValueError(f"w_min ({self.w_min}) must be below w_max ({self.w_max})")
+            raise ConfigError("w_min", f"{self.w_min} must be below w_max ({self.w_max})")
         if self.c_norm is not None and not (self.w_min < self.c_norm < self.w_max):
-            raise ValueError(f"c_norm ({self.c_norm}) must lie inside ({self.w_min}, {self.w_max})")
+            raise ConfigError("c_norm", f"must lie inside ({self.w_min}, {self.w_max})")
 
 
 @dataclass

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import ConfigError
+
 MODES = ("static", "td")
 
 
@@ -23,9 +25,11 @@ class RewardState:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"reward mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
+        if self.eta_rpe < 0.0:
+            raise ConfigError("eta_rpe", f"must be non-negative, got {self.eta_rpe}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise ConfigError("alpha", f"must lie in [0, 1], got {self.alpha}")
 
 
 def compute_reward(predicted: int, target: int) -> int:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
+
 
 @dataclass(frozen=True)
 class LcShape:
@@ -30,11 +32,12 @@ class LcShape:
 
     def __post_init__(self) -> None:
         if self.ch_out < 1:
-            raise ValueError(f"ch_out must be at least 1, got {self.ch_out}")
+            raise ConfigError("ch_out", f"must be at least 1, got {self.ch_out}")
         if self.s < 1:
-            raise ValueError(f"stride must be at least 1, got {self.s}")
-        if self.k > self.h_in or self.k > self.w_in:
-            raise ValueError(f"kernel {self.k} exceeds input extent ({self.h_in}, {self.w_in})")
+            raise ConfigError("s", f"stride must be at least 1, got {self.s}")
+        if not 1 <= self.k <= min(self.h_in, self.w_in):
+            raise ConfigError("k", f"must lie in [1, {min(self.h_in, self.w_in)}] on a "
+                                   f"{self.h_in}x{self.w_in} input")
 
     @property
     def h_out(self) -> int:
@@ -152,9 +155,9 @@ class InhibitionMask:
 
     def __post_init__(self) -> None:
         if self.scope not in ("within", "across", "all"):
-            raise ValueError(f"unknown inhibition scope {self.scope!r}")
+            raise ConfigError("scope", f"unknown inhibition scope {self.scope!r}")
         if self.w_inh >= 0.0:
-            raise ValueError(f"w_inh must be negative, got {self.w_inh}")
+            raise ConfigError("w_inh", f"must be negative, got {self.w_inh}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self._n_labels = int(self.labels.max()) + 1 if self.labels.size else 0
 
@@ -186,8 +189,10 @@ def build_decoder_inhibition(
     only different groups inhibit each other; ``within_group=True`` wires
     every pair instead.
     """
+    if n_out < 1:
+        raise ConfigError("n_out", f"must be at least 1, got {n_out}")
     if n_c < 1 or n_out % n_c != 0:
-        raise ValueError(f"group count {n_c} must divide layer size {n_out}")
+        raise ConfigError("n_c", f"group count {n_c} must divide layer size {n_out}")
     labels = np.repeat(np.arange(n_c, dtype=np.int64), n_out // n_c)
     return InhibitionMask(labels=labels, scope="all" if within_group else "across", w_inh=w_inh)
 

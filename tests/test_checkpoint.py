@@ -163,3 +163,7 @@ def test_inconsistent_shape_raises(tmp_path):
     arrays["lc_neurons"] = arrays["lc_neurons"][:-1]
     with pytest.raises(CheckpointError, match="NeuronParams"):
         network_from_arrays(arrays)
+    arrays = network_to_arrays(net)
+    arrays["lc_neurons"][3] = -1.0  # tau_m, which NeuronParams rejects
+    with pytest.raises(CheckpointError, match="tau_m"):
+        network_from_arrays(arrays)

@@ -200,11 +200,29 @@ def test_network_keys_must_match_the_checkpoint(fake_mnist_dir, tmp_path, capsys
                           ("svm", "--lc-checkpoint"), ("eval", "--checkpoint")):
         assert _run([command, "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
                      flag, ckpt, *TINY, "--set", "n_out=8"]) == 1
-        assert "layout" in capsys.readouterr().err
+        assert "n_out" in capsys.readouterr().err
     assert _run(["eval", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
                  "--checkpoint", ckpt, *TINY, "--set", "tau_m=25"]) == 1
-    assert "lc_neurons" in capsys.readouterr().err
+    assert "tau_m" in capsys.readouterr().err
     assert [d.name.split("-")[0] for d in out.iterdir() if d.is_dir()] == ["train"]
+
+
+def test_checkpoint_check_builds_no_network(fake_mnist_dir, tmp_path, monkeypatch):
+    import lcsnn.cli as cli
+    import lcsnn.engine as engine
+
+    out = tmp_path / "runs"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                 *TINY]) == 0
+    ckpt = _only_run_dir(out, "train-lc") / "network.blcn"
+
+    def refuse(**kwargs):
+        raise AssertionError("the configuration check built a network")
+
+    monkeypatch.setattr(cli, "build_network", refuse)
+    monkeypatch.setattr(engine, "build_network", refuse)
+    assert _run(["eval", "--data-dir", fake_mnist_dir, "--out", out, "--seed", 3,
+                 "--checkpoint", ckpt, *TINY]) == 0
 
 
 def test_dt_reaches_the_simulator(fake_mnist_dir, tmp_path):
@@ -258,7 +276,10 @@ def test_rejected_inputs_leave_no_run_directory(command, fake_mnist_dir, tmp_pat
             "conditioning": "--lc-checkpoint", "svm": "--lc-checkpoint"}.get(command)
     empty = tmp_path / "empty"
     empty.mkdir()
-    rejected = [["--data-dir", empty]]  # no dataset files
+    rejected = [["--data-dir", empty],  # no dataset files
+                ["--data-dir", fake_mnist_dir, "--set", "intensity_max=100"]]  # pixels reach 255
+    if command in ("train-decoder", "eval", "conditioning", "xor", "sweep"):
+        rejected.append(["--data-dir", fake_mnist_dir, "--set", "t_dec=0"])  # no vote
     if flag:
         rejected.append(["--data-dir", fake_mnist_dir, "--set", "n_out=8"])  # not the checkpoint's
     if command == "eval":
@@ -269,6 +290,13 @@ def test_rejected_inputs_leave_no_run_directory(command, fake_mnist_dir, tmp_pat
             rejected.append(["--data-dir", fake_mnist_dir, "--set", bad])
     if command == "sweep":
         rejected.append(["--data-dir", fake_mnist_dir, "--grid", "k=11,50"])  # k=50 is too large
+    if command == "xor":
+        rejected.extend([["--data-dir", fake_mnist_dir, "--set", "xor_train=0"],
+                         ["--data-dir", fake_mnist_dir, "--set", "xor_test=0"]])
+        # the two-digit canvases are 40x40; each case's own --set comes last and wins
+        canvas = ["--set", "h_in=40", "--set", "w_in=40", "--set", "xor_train=8",
+                  "--set", "xor_test=8"]
+        rejected = [[*canvas, *extra] for extra in rejected]
     out = tmp_path / "runs"
     for extra in rejected:
         args = [command, "--out", out, "--seed", 3, *TINY, *extra]

@@ -81,6 +81,9 @@ def test_unparseable_value_names_the_key():
     with pytest.raises(ConfigError) as err:
         resolve_config(None, ["lc_adaptive=maybe"])
     assert err.value.key == "lc_adaptive"
+    with pytest.raises(ConfigError) as err:
+        resolve_config(None, ["tau_m=nan"])
+    assert err.value.key == "tau_m"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +116,11 @@ def test_unparseable_value_names_the_key():
         ("xor_test=-4", "xor_test"),
         ("svm_epochs=0", "svm_epochs"),
         ("svm_l2=0", "svm_l2"),
+        ("k=0", "k"),
+        ("k=-2", "k"),
+        ("eta_rpe=-1", "eta_rpe"),
+        ("xor_train=0", "xor_train"),
+        ("xor_test=0", "xor_test"),
     ],
 )
 def test_invariant_violations_name_their_key(override, key):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcsnn.config import ConfigError
 from lcsnn.reward import RewardState, compute_reward, modulate
 
 
@@ -70,3 +71,10 @@ def test_invalid_inputs_rejected():
         RewardState(alpha=1.5)
     with pytest.raises(ValueError):
         modulate(RewardState(), 0)
+
+
+def test_prediction_error_rate_must_be_non_negative():
+    # a negative rate would turn every reward into a punishment
+    with pytest.raises(ConfigError) as err:
+        RewardState(mode="td", eta_rpe=-1.0)
+    assert err.value.key == "eta_rpe"

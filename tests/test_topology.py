@@ -3,6 +3,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+from lcsnn.config import ConfigError
 from lcsnn.topology import (
     DenseConnection,
     InhibitionMask,
@@ -46,6 +47,13 @@ def test_shape_accounting():
     assert sh.n_post == 400
     with pytest.raises(ValueError):
         LcShape(h_in=22, w_in=22, ch_out=0, k=15, s=4)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_kernel_must_cover_a_pixel(k):
+    with pytest.raises(ConfigError) as err:
+        LcShape(h_in=22, w_in=22, ch_out=2, k=k, s=4)
+    assert err.value.key == "k"
 
 
 def test_weight_count_matches_shape():
