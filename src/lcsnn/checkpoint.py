@@ -12,6 +12,8 @@ keeps the format single-typed and the save/load round trip bit-identical.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,19 +24,7 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    """Base for unreadable checkpoint files."""
-
-
-class CheckpointMagicError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
+    """An unreadable checkpoint file."""
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -44,37 +34,41 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointTruncatedError(f"unexpected end of file while reading {what}")
-    return buf
+            f.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                                len(encoded), encoded, arr.ndim, *arr.shape))
+            f.write(arr.data)
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        end = os.fstat(f.fileno()).st_size
+
+        def claim(n: int, what: str) -> None:
+            # a header may claim more than the file holds; check before allocating
+            if n > end - f.tell():
+                raise CheckpointError(f"{path} ends before {what}: {n} bytes claimed, "
+                                      f"{end - f.tell()} left")
+
+        def unpack(fmt: str, what: str) -> tuple:
+            n = struct.calcsize(fmt)
+            claim(n, what)
+            return struct.unpack(fmt, f.read(n))
+
+        magic, version, count = unpack("<4sII", "the header")
         if magic != MAGIC:
-            raise CheckpointMagicError(f"bad magic {magic!r} in {path}")
-        version, count = struct.unpack("<II", _read_exact(f, 8, "header"))
+            raise CheckpointError(f"bad magic {magic!r} in {path}")
         if version > VERSION:
-            raise CheckpointVersionError(
+            raise CheckpointError(
                 f"format version {version} is newer than supported version {VERSION}"
             )
         for i in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, f"entry {i} name length"))
-            name = _read_exact(f, name_len, f"entry {i} name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"{name} dims"))
-            n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
-            data = _read_exact(f, n_bytes, f"{name} data")
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            (name_len,) = unpack("<I", f"the name length of entry {i}")
+            (raw,) = unpack(f"<{name_len}s", f"the name of entry {i}")
+            name = raw.decode("utf-8", errors="backslashreplace")  # a garbled name is missing
+            (ndim,) = unpack("<I", f"the rank of {name!r}")
+            shape = unpack(f"<{ndim}I", f"the dims of {name!r}")
+            claim(8 * math.prod(shape), f"the data of {name!r}")
+            arrays[name] = np.empty(shape, dtype="<f8")
+            f.readinto(arrays[name])
     return arrays

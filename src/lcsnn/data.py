@@ -8,8 +8,9 @@ bytes); ``.gz`` paths are decompressed transparently.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +20,7 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Base for malformed IDX input."""
-
-
-class IdxMagicError(IdxFormatError):
-    pass
-
-
-class IdxTruncatedError(IdxFormatError):
-    pass
-
-
-class IdxCountMismatchError(IdxFormatError):
-    pass
+    """Malformed IDX input."""
 
 
 @dataclass
@@ -42,7 +31,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         if self.images.shape[0] != self.labels.shape[0]:
-            raise IdxCountMismatchError(
+            raise IdxFormatError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels"
             )
         if self.labels.size and int(self.labels.max()) >= self.class_count:
@@ -54,13 +43,6 @@ class Dataset:
         return self.images.shape[0]
 
 
-@dataclass
-class XorDataset(Dataset):
-    """Composed two-digit set; ``patterns[i]`` holds the source digits (a, b)."""
-
-    patterns: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.uint8))
-
-
 def _open(path: str | Path):
     path = Path(path)
     if path.suffix == ".gz":
@@ -68,37 +50,38 @@ def _open(path: str | Path):
     return open(path, "rb")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise IdxTruncatedError(f"unexpected end of file while reading {what}")
-    return buf
+_PIECE = 1 << 24  # bytes read at a time, so a header's claim never sizes an allocation
 
 
-def read_idx_images(path: str | Path) -> np.ndarray:
-    with _open(path) as f:
-        magic, n, h, w = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IMAGE_MAGIC:
-            raise IdxMagicError(f"bad image magic 0x{magic:08x} in {path}")
-        raw = _read_exact(f, n * h * w, f"{n} images of {h}x{w}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
-
-
-def read_idx_labels(path: str | Path) -> np.ndarray:
-    with _open(path) as f:
-        magic, n = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(f"bad label magic 0x{magic:08x} in {path}")
-        raw = _read_exact(f, n, f"{n} labels")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+def read_idx(path: str | Path, magic: int) -> np.ndarray:
+    """Read an unsigned-byte IDX file whose magic number must be ``magic``;
+    the magic's low byte is the rank, and the array has the stored dims."""
+    rank = magic & 0xFF
+    try:
+        with _open(path) as f:
+            header = f.read(4 + 4 * rank)
+            if len(header) < 4 + 4 * rank:
+                raise IdxFormatError(f"{path} ends inside its {4 + 4 * rank}-byte header")
+            got, *dims = struct.unpack(f">I{rank}I", header)
+            if got != magic:
+                raise IdxFormatError(f"bad magic 0x{got:08x} in {path}, expected 0x{magic:08x}")
+            n = math.prod(dims)
+            data = bytearray()
+            while len(data) < n and (piece := f.read(min(n - len(data), _PIECE))):
+                data += piece
+    except EOFError as e:  # a gzip stream cut short
+        raise IdxFormatError(f"{path}: {e}") from e
+    if len(data) < n:
+        raise IdxFormatError(f"{path} holds {len(data)} of the {n} data bytes its header claims")
+    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
 
 
 def load_idx(image_path: str | Path, label_path: str | Path, class_count: int = 10) -> Dataset:
     """Load a paired image/label file set, cross-checking sample counts."""
-    images = read_idx_images(image_path)
-    labels = read_idx_labels(label_path)
+    images = read_idx(image_path, IMAGE_MAGIC)
+    labels = read_idx(label_path, LABEL_MAGIC).astype(np.int64)
     if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
+        raise IdxFormatError(
             f"{images.shape[0]} images in {image_path} but {labels.shape[0]} labels in {label_path}"
         )
     return Dataset(images=images, labels=labels, class_count=class_count)
@@ -161,7 +144,7 @@ XOR_DIGIT = 20
 XOR_PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def build_xor_mnist(mnist: Dataset, n_samples: int, rng: np.random.Generator) -> XorDataset:
+def build_xor_mnist(mnist: Dataset, n_samples: int, rng: np.random.Generator) -> Dataset:
     """Compose a balanced two-digit set labeled by XOR of the digits.
 
     Pairs are drawn uniformly with replacement from the source dataset's
@@ -178,7 +161,6 @@ def build_xor_mnist(mnist: Dataset, n_samples: int, rng: np.random.Generator) ->
     top = (XOR_CANVAS - XOR_DIGIT) // 2
     images = np.zeros((n_samples, XOR_CANVAS, XOR_CANVAS), dtype=np.uint8)
     labels = np.empty(n_samples, dtype=np.int64)
-    patterns = np.empty((n_samples, 2), dtype=np.uint8)
     for i in range(n_samples):
         a, b = XOR_PATTERNS[i % 4]
         ia = pools[a][rng.integers(pools[a].size)]
@@ -188,5 +170,4 @@ def build_xor_mnist(mnist: Dataset, n_samples: int, rng: np.random.Generator) ->
         images[i, top : top + XOR_DIGIT, :XOR_DIGIT] = da
         images[i, top : top + XOR_DIGIT, XOR_DIGIT:] = db
         labels[i] = a ^ b
-        patterns[i] = (a, b)
-    return XorDataset(images=images, labels=labels, class_count=2, patterns=patterns)
+    return Dataset(images=images, labels=labels, class_count=2)

@@ -50,6 +50,8 @@ class NeuronParams:
     def __post_init__(self) -> None:
         if self.tau_m <= 0.0:
             raise ConfigError("tau_m", f"must be positive, got {self.tau_m}")
+        if self.r_mem < 0.0:
+            raise ConfigError("r_mem", f"must be non-negative, got {self.r_mem}")
         if self.tau_g <= 0.0:
             raise ConfigError("tau_g", f"must be positive, got {self.tau_g}")
         if self.delta_t_ref < 0.0:

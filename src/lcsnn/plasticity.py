@@ -54,6 +54,8 @@ class PlasticityParams:
         if self.tau_plus <= 0.0 or self.tau_minus <= 0.0:
             raise ConfigError("tau_plus" if self.tau_plus <= 0.0 else "tau_minus",
                               "trace time constants must be positive")
+        if self.gamma < 0.0:
+            raise ConfigError("gamma", f"must be non-negative, got {self.gamma}")
         if self.w_min >= self.w_max:
             raise ConfigError("w_min", f"{self.w_min} must be below w_max ({self.w_max})")
         if self.c_norm is not None and not (self.w_min < self.c_norm < self.w_max):

@@ -7,9 +7,6 @@ import pytest
 from lcsnn.checkpoint import (
     MAGIC,
     CheckpointError,
-    CheckpointMagicError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
     load_arrays,
     save_arrays,
 )
@@ -17,7 +14,6 @@ from lcsnn.engine import (
     build_network,
     checkpoint_load,
     checkpoint_save,
-    network_from_arrays,
     network_to_arrays,
 )
 
@@ -41,14 +37,14 @@ def test_array_round_trip_bit_identical(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "x.blcn"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CheckpointMagicError):
+    with pytest.raises(CheckpointError, match="bad magic"):
         load_arrays(path)
 
 
 def test_future_version(tmp_path):
     path = tmp_path / "x.blcn"
     path.write_bytes(MAGIC + struct.pack("<II", 99, 0))
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointError, match="newer than supported"):
         load_arrays(path)
 
 
@@ -56,8 +52,26 @@ def test_truncated(tmp_path):
     path = tmp_path / "x.blcn"
     save_arrays(path, {"a": np.arange(10.0)})
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(CheckpointTruncatedError):
+    with pytest.raises(CheckpointError, match="ends before the data of 'a'"):
         load_arrays(path)
+
+
+@pytest.mark.parametrize("dims", [(2**20, 2**20), (2**32 - 1, 2**32 - 1), (2**32 - 1,) * 3])
+def test_header_claiming_more_data_than_the_file_holds(tmp_path, dims):
+    # the claim is checked against the file before anything is allocated
+    path = tmp_path / "x.blcn"
+    path.write_bytes(MAGIC + struct.pack(f"<III1sI{len(dims)}I", 1, 1, 1, b"a", len(dims), *dims))
+    with pytest.raises(CheckpointError, match="ends before the data of 'a'"):
+        load_arrays(path)
+    path.write_bytes(MAGIC + struct.pack("<III", 1, 1, 2**32 - 1))  # a 4 GiB name
+    with pytest.raises(CheckpointError, match="ends before the name of entry 0"):
+        load_arrays(path)
+
+
+def _load(tmp_path, arrays):
+    path = tmp_path / "arrays.blcn"
+    save_arrays(path, arrays)
+    return checkpoint_load(path)
 
 
 def _toy_network(seed=0):
@@ -140,17 +154,17 @@ def test_checkpoint_carries_everything_training_continuation_needs(tmp_path):
     assert (net.lc_g == reloaded.lc_g).all()
 
 
-def test_five_slot_layout_of_earlier_files_loads():
+def test_five_slot_layout_of_earlier_files_loads(tmp_path):
     # earlier files end the layout with (filters untrained, decoder untrained)
     arrays = network_to_arrays(_toy_network())
     for lc_untrained, trained in ((0.0, True), (1.0, False)):
         arrays["layout"] = np.append(arrays["layout"][:3], [lc_untrained, 1.0])
-        assert network_from_arrays(arrays).lc_trained is trained
+        assert _load(tmp_path, arrays).lc_trained is trained
 
 
 def test_missing_array_raises(tmp_path):
     with pytest.raises(CheckpointError):
-        network_from_arrays({"lc_shape": np.array([8, 8, 3, 4, 4.0])})
+        _load(tmp_path, {"lc_shape": np.array([8, 8, 3, 4, 4.0])})
 
 
 def test_inconsistent_shape_raises(tmp_path):
@@ -158,12 +172,12 @@ def test_inconsistent_shape_raises(tmp_path):
     arrays = network_to_arrays(net)
     arrays["lc_weights"] = arrays["lc_weights"][:, :, :, :2, :2].copy()
     with pytest.raises(CheckpointError):
-        network_from_arrays(arrays)
+        _load(tmp_path, arrays)
     arrays = network_to_arrays(net)
     arrays["lc_neurons"] = arrays["lc_neurons"][:-1]
     with pytest.raises(CheckpointError, match="NeuronParams"):
-        network_from_arrays(arrays)
+        _load(tmp_path, arrays)
     arrays = network_to_arrays(net)
     arrays["lc_neurons"][3] = -1.0  # tau_m, which NeuronParams rejects
     with pytest.raises(CheckpointError, match="tau_m"):
-        network_from_arrays(arrays)
+        _load(tmp_path, arrays)

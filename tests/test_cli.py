@@ -345,3 +345,53 @@ def test_classes_must_match_some_sample(fake_mnist_dir, tmp_path, capsys):
                  "--lc-checkpoint", ckpt, "--set", "stimulus_class=11"]) == 1
     assert "stimulus_class" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_corrupt_headers_exit_2_and_leave_no_run_directory(fake_mnist_dir, tmp_path, capsys):
+    import struct
+
+    from lcsnn.checkpoint import MAGIC
+    from lcsnn.data import IMAGE_MAGIC
+
+    bad_ckpt = tmp_path / "bad.blcn"  # one array of 2^20 x 2^20 doubles, no data
+    bad_ckpt.write_bytes(MAGIC + struct.pack("<III1sIII", 1, 1, 1, b"a", 2, 2**20, 2**20))
+    bad_data = tmp_path / "bad_data"
+    bad_data.mkdir()
+    for f in fake_mnist_dir.iterdir():
+        (bad_data / f.name).write_bytes(f.read_bytes())
+    images = bad_data / "train-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2**32 - 1, 28, 28)
+                       + images.read_bytes()[16:])
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert _run(["eval", "--data-dir", fake_mnist_dir, "--out", out, *TINY,
+                 "--checkpoint", bad_ckpt]) == 2
+    assert "bad.blcn" in capsys.readouterr().err
+    assert _run(["train-lc", "--data-dir", bad_data, "--out", out, *TINY]) == 2
+    assert "train-images-idx3-ubyte" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conditioning_needs_two_response_groups(fake_mnist_dir, tmp_path, capsys):
+    groups = [*TINY, "--set", "n_c=4"]
+    trained = tmp_path / "trained"
+    assert _run(["train-lc", "--data-dir", fake_mnist_dir, "--out", trained, *groups]) == 0
+    ckpt = _only_run_dir(trained, "train-lc") / "network.blcn"
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert _run(["conditioning", "--data-dir", fake_mnist_dir, "--out", out, *groups,
+                 "--lc-checkpoint", ckpt]) == 1
+    assert "n_c" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_workers_do_not_change_the_results(fake_mnist_dir, tmp_path):
+    sweep = ["sweep", "--data-dir", fake_mnist_dir, "--seed", 1, *TINY,
+             "--grid", "k=11", "--grid", "s=4,11", "--seeds", "1,2"]
+    dirs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        assert _run([*sweep, "--out", out, "--workers", workers]) == 0
+        dirs.append(_only_run_dir(out, "sweep"))
+    for name in ("sweep_runs.csv", "sweep_summary.csv"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

@@ -121,6 +121,9 @@ def test_unparseable_value_names_the_key():
         ("eta_rpe=-1", "eta_rpe"),
         ("xor_train=0", "xor_train"),
         ("xor_test=0", "xor_test"),
+        ("gamma=-1", "gamma"),
+        ("r_mem=-1", "r_mem"),
+        ("dec_r_mem=-1", "dec_r_mem"),
     ],
 )
 def test_invariant_violations_name_their_key(override, key):

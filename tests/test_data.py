@@ -1,19 +1,18 @@
 import gzip
-
+import struct
 
 import numpy as np
 import pytest
 
 from lcsnn.data import (
+    IMAGE_MAGIC,
     Dataset,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
+    IdxFormatError,
     build_xor_mnist,
     center_crop,
     filter_classes,
     load_idx,
-    read_idx_images,
+    read_idx,
 )
 from tests.conftest import write_idx_images, write_idx_labels
 
@@ -41,7 +40,7 @@ def test_gzip_transparency(tmp_path, synthetic_idx):
     ipath, _, images, _ = synthetic_idx
     gz = tmp_path / "imgs.gz"
     gz.write_bytes(gzip.compress(ipath.read_bytes()))
-    assert (read_idx_images(gz) == images).all()
+    assert (read_idx(gz, IMAGE_MAGIC) == images).all()
 
 
 def test_bad_magic_raises(tmp_path, synthetic_idx):
@@ -50,9 +49,9 @@ def test_bad_magic_raises(tmp_path, synthetic_idx):
     raw = bytearray(ipath.read_bytes())
     raw[3] = 0x02  # 0x00000802
     bad.write_bytes(raw)
-    with pytest.raises(IdxMagicError):
-        read_idx_images(bad)
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(IdxFormatError, match="bad magic"):
+        read_idx(bad, IMAGE_MAGIC)
+    with pytest.raises(IdxFormatError, match="bad magic"):
         load_idx(lpath, lpath)  # label magic where an image file is expected
 
 
@@ -60,15 +59,32 @@ def test_truncated_file_raises(tmp_path, synthetic_idx):
     ipath, *_ = synthetic_idx
     cut = tmp_path / "cut"
     cut.write_bytes(ipath.read_bytes()[:100])
-    with pytest.raises(IdxTruncatedError):
-        read_idx_images(cut)
+    with pytest.raises(IdxFormatError, match="holds 84 of the 2430 data bytes"):
+        read_idx(cut, IMAGE_MAGIC)
+    cut.write_bytes(ipath.read_bytes()[:10])
+    with pytest.raises(IdxFormatError, match="ends inside its 16-byte header"):
+        read_idx(cut, IMAGE_MAGIC)
+    gz = tmp_path / "cut.gz"
+    gz.write_bytes(gzip.compress(ipath.read_bytes())[:-30])
+    with pytest.raises(IdxFormatError, match="end-of-stream"):
+        read_idx(gz, IMAGE_MAGIC)
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_header_claiming_more_images_than_the_file_holds(tmp_path, suffix):
+    # read in bounded pieces, so the claim never sizes an allocation
+    raw = struct.pack(">IIII", IMAGE_MAGIC, 2**32 - 1, 28, 28) + bytes(28 * 28)
+    path = tmp_path / ("huge" + suffix)
+    path.write_bytes(gzip.compress(raw) if suffix else raw)
+    with pytest.raises(IdxFormatError, match="holds 784 of the 3367254359280 data bytes"):
+        read_idx(path, IMAGE_MAGIC)
 
 
 def test_count_mismatch_raises(tmp_path, synthetic_idx):
     ipath, _, _, labels = synthetic_idx
     short = tmp_path / "short_labels"
     write_idx_labels(short, labels[:10])
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(IdxFormatError, match="30 images .* but 10 labels"):
         load_idx(ipath, short)
 
 
@@ -112,10 +128,12 @@ def test_filter_classes():
 
 
 def _mini_mnist(n=40):
+    # digit d draws its pixels from [128 d, 128 d + 128), so each half of a
+    # composed image tells which digit it came from
     rng = np.random.default_rng(3)
-    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     labels = (np.arange(n) % 2).astype(np.int64)
-    return Dataset(images=images, labels=labels, class_count=10)
+    images = rng.integers(0, 128, size=(n, 28, 28), dtype=np.uint8) + 128 * labels[:, None, None]
+    return Dataset(images=images.astype(np.uint8), labels=labels, class_count=10)
 
 
 def test_xor_composition_labels_and_geometry():
@@ -123,16 +141,16 @@ def test_xor_composition_labels_and_geometry():
     xor = build_xor_mnist(src, 40, np.random.default_rng(1))
     assert xor.images.shape == (40, 40, 40)
     assert xor.class_count == 2
-    # stored pattern metadata must recompute the stored label
-    assert (np.bitwise_xor(xor.patterns[:, 0], xor.patterns[:, 1]) == xor.labels).all()
-    # round-robin balance: 10 of each pattern
-    pats = [tuple(p) for p in xor.patterns]
-    assert all(pats.count(p) == 10 for p in [(0, 0), (0, 1), (1, 0), (1, 1)])
-    # (0,0) -> 0 and (1,0) -> 1
-    assert xor.labels[pats.index((0, 0))] == 0
-    assert xor.labels[pats.index((1, 0))] == 1
     # digits occupy the vertically centered band, side by side
     assert not xor.images[:, :10, :].any() and not xor.images[:, 30:, :].any()
+    halves = xor.images[:, 10:30, :20], xor.images[:, 10:30, 20:]
+    a, b = (half.min(axis=(1, 2)) >= 128 for half in halves)
+    for half, digit in zip(halves, (a, b)):  # each half holds one whole source digit
+        assert ((half >= 128) == digit[:, None, None]).all()
+    # the label is the XOR of the two source digits
+    assert (np.bitwise_xor(a, b) == xor.labels).all()
+    # round-robin balance: the four patterns in turn, 10 of each
+    assert [(int(x), int(y)) for x, y in zip(a, b)] == [(0, 0), (0, 1), (1, 0), (1, 1)] * 10
 
 
 def test_xor_composition_is_deterministic():

@@ -3,6 +3,7 @@ target up in its owner's namespace, and its pipeline imports and calls the
 public API.  Every name it uses must still be there."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -36,3 +37,11 @@ def test_every_pipeline_import_resolves(monkeypatch):
     readout_names = ["extract_feature_matrix", "train_linear", "predict"]
     assert [n for n in readout_names if not callable(getattr(pipeline.readout, n, None))] == []
     assert callable(pipeline.RewardState)
+
+
+def test_every_stimuli_data_name_resolves(monkeypatch):
+    # the stimuli look up lcsnn.data names only when they run
+    stimuli = _load("stimuli", monkeypatch)
+    names = set(re.findall(r"datamod\.(\w+)", (PERFBENCH / "stimuli.py").read_text()))
+    assert {"Dataset", "build_xor_mnist"} <= names
+    assert [n for n in sorted(names) if not callable(getattr(stimuli.datamod, n, None))] == []
