@@ -288,10 +288,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     grid: dict[str, list[str]] = {}
     for item in args.grid or []:
         key, _, values = item.partition("=")
-        values = [v.strip() for v in values.split(",") if v.strip()]
+        key, values = key.strip(), [v.strip() for v in values.split(",") if v.strip()]
         if not values:
             raise ConfigError(item, "grid entries must look like key=v1,v2")
-        grid[key.strip()] = values
+        if key == "seed":
+            raise ConfigError(key, "give the seeds with --seeds, not as a grid axis")
+        if key in grid:
+            raise ConfigError(key, "repeated grid key; list all its values in one --grid")
+        grid[key] = values
     combos = [dict(zip(grid, values)) for values in product(*grid.values())] or [{}]
     seeds = (args.seeds or str(cfg.seed)).split(",")
     points = list(product(combos, seeds))

@@ -2,7 +2,8 @@
 hyperparameter, with defaults set to the best-performing published values.
 
 Config files are UTF-8 text, one ``key = value`` pair per line, ``#``
-starting a comment.  Unknown keys are rejected.  Command-line overrides
+starting a comment, so a string value holds neither ``#`` nor a line
+break.  Unknown keys are rejected.  Command-line overrides
 (``key=value`` strings) are applied after the file.  The special value
 ``eta_rpe = static`` selects the unmodulated reward mode instead of a
 prediction-error rate.
@@ -226,6 +227,8 @@ def _parse_value(key: str, raw: str):
             return value
     except ValueError:
         raise ConfigError(key, f"expected a {field.type}, got {raw!r}")
+    if "#" in raw or len(raw.splitlines()) > 1:  # the echoed config.txt could not hold it
+        raise ConfigError(key, f"string values may not hold '#' or a line break, got {raw!r}")
     return raw
 
 

@@ -203,6 +203,9 @@ def build_network(
     rng = sample_rng(seed, STAGE_INIT)
     lc_conn = make_local_connection(shape, rng)
     dec_conn = make_dense_connection(shape.n_post, n_out, rng)
+    for conn, rule in ((lc_conn, lc_plasticity), (dec_conn, dec_plasticity)):
+        if rule.w_min > 0.0 or rule.w_max < 1.0:  # the U[0, 1) draw is already inside
+            np.clip(conn.weights, rule.w_min, rule.w_max, out=conn.weights)
     return Network(
         encoder=encoder,
         lc_params=lc_params,

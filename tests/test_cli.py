@@ -289,7 +289,10 @@ def test_rejected_inputs_leave_no_run_directory(command, fake_mnist_dir, tmp_pat
                     "svm_train_samples=1"):  # one sample holds one class
             rejected.append(["--data-dir", fake_mnist_dir, "--set", bad])
     if command == "sweep":
-        rejected.append(["--data-dir", fake_mnist_dir, "--grid", "k=11,50"])  # k=50 is too large
+        rejected.extend([["--data-dir", fake_mnist_dir, "--grid", "k=11,50"],  # k=50 is too large
+                         # seeds come from --seeds; a second axis on one key drops values
+                         ["--data-dir", fake_mnist_dir, "--grid", "seed=5,6", "--seeds", "1"],
+                         ["--data-dir", fake_mnist_dir, "--grid", "k=11", "--grid", "k=7"]])
     if command == "xor":
         rejected.extend([["--data-dir", fake_mnist_dir, "--set", "xor_train=0"],
                          ["--data-dir", fake_mnist_dir, "--set", "xor_test=0"]])

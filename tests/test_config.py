@@ -1,6 +1,12 @@
-import pytest
+import dataclasses
+import tempfile
+from pathlib import Path
 
-from lcsnn.config import ConfigError, config_to_text, resolve_config
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lcsnn.config import ConfigError, RunConfig, config_to_text, resolve_config
 
 
 def test_empty_file_yields_published_defaults(tmp_path):
@@ -124,6 +130,9 @@ def test_unparseable_value_names_the_key():
         ("gamma=-1", "gamma"),
         ("r_mem=-1", "r_mem"),
         ("dec_r_mem=-1", "dec_r_mem"),
+        ("data_dir=/tmp/a#b", "data_dir"),     # the echo would reparse as /tmp/a
+        ("out_dir=runs\nseed = 3", "out_dir"),  # the echo would set a second key
+        ("data_dir=a\x0bb", "data_dir"),       # a line break to str.splitlines
     ],
 )
 def test_invariant_violations_name_their_key(override, key):
@@ -138,3 +147,40 @@ def test_echo_round_trip(tmp_path):
     path.write_text(config_to_text(cfg))
     back = resolve_config(path)
     assert back == cfg
+
+
+def _spelling(field: dataclasses.Field) -> st.SearchStrategy[str]:
+    """Override values for ``field``, mostly valid, in the forms a user may type."""
+    default = getattr(RunConfig(), field.name)
+    if field.type == "bool":
+        return st.sampled_from(["true", "FALSE", " Yes ", "off", "1", "0"])
+    if field.type == "int":
+        return st.integers(default, default + 2).map(str)
+    if field.type == "float":
+        near = st.floats(min(default / 2, default * 2), max(default / 2, default * 2))
+        return near.flatmap(lambda x: st.sampled_from([repr(x), f" {x:.6e} "]))
+    if field.name == "classes":
+        return st.lists(st.integers(0, 9).map(str), max_size=3).map(",".join)
+    if field.name == "reward_mode":
+        return st.sampled_from(["td", "static"])
+    # the characters the file format gives a meaning, drawn more often than chance
+    return st.text(st.characters() | st.sampled_from("#=\n\r\x0b "), max_size=12)
+
+
+_OVERRIDES = st.one_of(
+    *(_spelling(f).map(lambda v, key=f.name: f"{key}={v}") for f in dataclasses.fields(RunConfig)),
+    st.just("eta_rpe=static"),
+)
+
+
+@given(st.lists(_OVERRIDES, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_every_resolved_echo_reparses_to_the_same_config(overrides):
+    try:
+        cfg = resolve_config(None, overrides)
+    except ConfigError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "config.txt"
+        path.write_text(config_to_text(cfg), encoding="utf-8")
+        assert resolve_config(path) == cfg

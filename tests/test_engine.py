@@ -189,6 +189,15 @@ def test_train_lc_keeps_normalized_bounded_weights():
     assert np.abs(means - 0.25).max() < 1e-9
 
 
+def test_initial_weights_start_inside_their_bounds():
+    net = tiny_network(
+        lc_plasticity=PlasticityParams(eta_pre=1e-4, eta_post=1e-2, c_norm=0.25,
+                                       w_min=0.2, w_max=0.9),
+        dec_plasticity=PlasticityParams(eta_pre=0.1, eta_post=0.1, w_min=0.2, w_max=0.9))
+    for w in (net.lc_conn.weights, net.dec_conn.weights):
+        assert (w >= 0.2).all() and (w <= 0.9).all()
+
+
 def test_adaptation_accumulates_across_training_samples():
     ds = make_blob_dataset(4, 8, 2, seed=9)
     net = tiny_network(seed=4)
